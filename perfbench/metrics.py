@@ -16,7 +16,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from tracing import APPLIED, Label, Slices, Tracer
+from tracing import APPLIED, SKIPPED, Label, Slices, Tracer
 from workloads import LABEL_PERIOD_S, Workload
 
 MS = 1e3
@@ -33,8 +33,11 @@ def peak_rss_mb() -> float:
 
 
 def slice_costs(labels: List[Label], slices: Slices) -> List[float]:
-    """Busy time per due label of each slice (infinite for an empty slice)."""
-    counts = np.bincount([label.slice_index for label in labels], minlength=len(slices.busy_s))
+    """Busy time per prepared label of each slice (infinite for an empty slice)."""
+    counts = np.bincount(
+        [label.slice_index for label in labels if label.state != SKIPPED],
+        minlength=len(slices.busy_s),
+    )
     return [
         busy / count if count else float("inf") for busy, count in zip(slices.busy_s, counts)
     ]

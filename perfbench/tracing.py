@@ -30,6 +30,9 @@ APPLIED = "applied"
 SHED = "shed"
 SUPERSEDED = "superseded"
 STALLED = "stalled"
+#: Dropped unprepared by the load generator because the session's next label
+#: was already due when this one could start (a miss).
+SKIPPED = "skipped"
 PENDING = "pending"
 
 
@@ -135,6 +138,13 @@ class LabelBook:
         """The front end refused the label just prepared for this session."""
         self._pending[session_id].pop().state = SHED
 
+    def skip(self, session_id: str, due_s: float, at_s: float) -> None:
+        """The generator dropped a label due at ``due_s`` at time ``at_s``."""
+        if self.recording:
+            self.labels.append(
+                Label(session_id, due_s, self.slice_index, at_s, at_s, state=SKIPPED)
+            )
+
     def start(self) -> None:
         """Begin recording labels (after set-up and warm-up)."""
         self.recording = True
@@ -144,7 +154,7 @@ class LabelBook:
             _restore(self._handles.pop())
 
     def counts(self) -> Dict[str, int]:
-        counts = {APPLIED: 0, SHED: 0, SUPERSEDED: 0, STALLED: 0, PENDING: 0}
+        counts = {APPLIED: 0, SHED: 0, SUPERSEDED: 0, STALLED: 0, SKIPPED: 0, PENDING: 0}
         for label in self.labels:
             counts[label.state] += 1
         return counts
