@@ -2,8 +2,8 @@
 
 Serves the same N-participant fleet two ways — N independent
 ``RealTimeInferenceLoop`` runs (one ``predict_proba(n=1)`` call per session
-per tick) versus one ``FleetServer`` (a single ``predict_proba(n=N)`` call
-per tick) — and compares end-to-end throughput in labels/s.  Both sides pay
+per tick) versus one lock-step ``AsyncFleetScheduler`` (a single
+``predict_proba(n=N)`` call per ``tick()``) — and compares end-to-end throughput in labels/s.  Both sides pay
 the identical acquisition + preprocessing cost; the fleet amortises the
 per-call classification overhead, which is the serving-side analogue of the
 short-block batching the paper's DAC line of work optimises for.
@@ -18,7 +18,7 @@ from repro.acquisition.board import BoardConfig, SimulatedCytonDaisyBoard
 from repro.core.config import CognitiveArmConfig
 from repro.core.realtime import RealTimeInferenceLoop
 from repro.models.lstm_model import EEGLSTM, LSTMConfig
-from repro.serving.server import FleetServer
+from repro.serving.scheduler import AsyncFleetScheduler
 from repro.serving.telemetry import calibrate_batch_latency_s
 from repro.signals.montage import Montage
 from repro.signals.synthetic import ACTION_RIGHT, ParticipantProfile
@@ -80,17 +80,19 @@ def _sequential_labels_per_s(classifier, config):
 
 
 def _fleet_labels_per_s(classifier, config):
-    """One fleet server, one micro-batched n=N classifier call per tick."""
-    server = FleetServer(classifier, config)
+    """One lock-step fleet, one micro-batched n=N classifier call per tick."""
+    fleet = AsyncFleetScheduler(classifier, config)
     for profile in _profiles():
-        session = server.add_session(profile=profile)
+        session = fleet.add_session(profile=profile)
         session.set_action(ACTION_RIGHT)
+    n_ticks = int(round(DURATION_S * config.label_rate_hz))
     start = time.perf_counter()
-    server.run(DURATION_S)
+    for _ in range(n_ticks):
+        fleet.tick()
     elapsed = time.perf_counter() - start
-    labels = server.telemetry.total_labels
-    server.shutdown()
-    return labels / elapsed, server
+    labels = fleet.telemetry.total_labels
+    fleet.shutdown()
+    return labels / elapsed, fleet
 
 
 def test_fleet_serving_beats_sequential_loops(once):
@@ -102,10 +104,10 @@ def test_fleet_serving_beats_sequential_loops(once):
             _sequential_labels_per_s(classifier, config) for _ in range(REPEATS)
         )
         results = [_fleet_labels_per_s(classifier, config) for _ in range(REPEATS)]
-        fleet, server = max(results, key=lambda r: r[0])
-        return sequential, fleet, server
+        fleet_lps, fleet = max(results, key=lambda r: r[0])
+        return sequential, fleet_lps, fleet
 
-    sequential_lps, fleet_lps, server = once(compare)
+    sequential_lps, fleet_lps, fleet = once(compare)
     single = calibrate_batch_latency_s(
         classifier,
         np.zeros((1, config.n_channels, config.window_size)),
@@ -116,7 +118,7 @@ def test_fleet_serving_beats_sequential_loops(once):
         np.zeros((N_SESSIONS, config.n_channels, config.window_size)),
         repeats=5,
     )
-    percentiles = server.telemetry.latency_percentiles()
+    percentiles = fleet.telemetry.latency_percentiles()
     print("\n" + "=" * 80)
     print(f"Fleet serving throughput — {N_SESSIONS} sessions, "
           f"{DURATION_S:.0f} s @ {config.label_rate_hz:.0f} Hz labels")

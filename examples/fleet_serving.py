@@ -2,7 +2,9 @@
 """Fleet serving walkthrough: many users, one classifier, one batch per tick.
 
 Builds a heterogeneous fleet of simulated participants, serves them all from
-a single shared classifier with cross-session micro-batched inference, and
+a single shared classifier with cross-session micro-batched inference (the
+scheduler's lock-step ``tick()``: every session prepared, one batched call),
+and
 exercises the serving subsystem's operational behaviours:
 
 - sessions joining and leaving mid-run,
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro.core.config import CognitiveArmConfig
 from repro.experiments.common import BENCH_SCALE, small_reference_models, train_validation
-from repro.serving import FleetServer, calibrate_batch_latency_s
+from repro.serving import AsyncFleetScheduler, calibrate_batch_latency_s
 from repro.signals.synthetic import ACTION_LEFT, ACTION_RIGHT, ParticipantProfile
 
 
@@ -52,30 +54,30 @@ def main() -> None:
               f"(budget {config.label_period_s * 1e3:.0f} ms) [{verdict}]")
 
     print("\n=== Serving an 8-session fleet with mid-run churn ===")
-    server = FleetServer(classifier, config)
+    fleet = AsyncFleetScheduler(classifier, config)
     for index in range(8):
-        session = server.add_session(profile=make_profile(index))
+        session = fleet.add_session(profile=make_profile(index))
         session.set_action(ACTION_RIGHT if index % 2 == 0 else ACTION_LEFT)
 
     # Phase 1: steady state.
     for _ in range(20):
-        server.tick()
+        fleet.tick()
 
     # Phase 2: one user disconnects, a new one joins with a stall scheduled.
-    departing = server.sessions[0]
-    server.remove_session(departing.session_id)
+    departing = fleet.sessions[0]
+    fleet.remove_session(departing.session_id)
     print(f"  {departing.session_id} left after {departing.labels_emitted()} labels")
-    flaky = server.add_session(
+    flaky = fleet.add_session(
         profile=make_profile(8),
         session_id="late-flaky",
         stall_ticks={4, 5, 6},  # session-local ticks: stalls shortly after joining
     )
     flaky.set_action(ACTION_RIGHT)
     for _ in range(20):
-        server.tick()
+        fleet.tick()
 
-    report = server.report()
-    server.shutdown()
+    report = fleet.report()
+    fleet.shutdown()
 
     print("\n=== Fleet telemetry ===")
     fleet = report.fleet

@@ -1,17 +1,22 @@
 """Multi-session serving: cross-session micro-batched inference.
 
 The single-participant loop (``repro.core.realtime``) classifies one window
-at a time.  This package scales that loop out: a :class:`FleetServer` clocks
-N concurrent :class:`ServingSession` objects at the label rate, a
-:class:`MicroBatcher` stacks their prepared windows into one
-``(n, channels, samples)`` call on a shared classifier, and
+at a time.  This package scales that loop out: N concurrent
+:class:`ServingSession` objects hand their prepared windows to one flush
+core (:class:`CohortFlushCore`), a :class:`MicroBatcher` stacks them into
+one ``(n, channels, samples)`` call per cohort on a shared classifier, and
 :class:`FleetTelemetry` reports throughput, tail latency, backlog and
 per-session accuracy.
 
-For wall-clock serving, :class:`AsyncFleetScheduler` replaces the lock-step
-tick with deadline-aware flushes, p95-budget admission control
-(:class:`AdmissionController`) and per-cohort model routing
-(:class:`ModelRouter`) — all clock-injected so tests drive it with a
+The flush core owns the one serving policy — deadline or full-batch
+flushes, the serializing-executor wake pull-forward by per-cohort service
+EWMAs, worker-death requeue, supervised degrade and plan hot-swap — and
+runs under two front ends: :class:`AsyncFleetScheduler` (sessions submit
+directly, with p95-budget admission control via
+:class:`AdmissionController`; :meth:`AsyncFleetScheduler.tick` is the
+lock-step mode) and :class:`repro.streams.StreamConsumerScheduler` (windows
+arrive through stream logs).  :class:`ModelRouter` maps cohorts to
+classifiers.  Everything is clock-injected so tests drive it with a
 deterministic virtual clock.
 
 Flush *execution* is pluggable behind the
@@ -24,12 +29,11 @@ shipped as an ``.npz``-geometry payload — see
 
 The shard fleet self-heals: a :class:`ShardSupervisor` respawns dead
 workers with capped exponential backoff, quarantines cohorts that flap
-(the scheduler then degrades them to an inline :class:`SerialExecutor`
+(the core then degrades them to an inline :class:`SerialExecutor`
 fallback), and serving plans hot-swap under traffic via
-``AsyncFleetScheduler.swap_plan`` with a per-flush ``plan_version``
-telemetry contract.  :mod:`repro.serving.chaos` provides the
-deterministic fault-injection harness that soaks all of this on a
-virtual clock.
+``swap_plan`` with a per-flush ``plan_version`` telemetry contract.
+:mod:`repro.serving.chaos` provides the deterministic fault-injection
+harness that soaks all of this on a virtual clock.
 """
 
 from repro.serving.batcher import (
@@ -66,13 +70,14 @@ from repro.serving.executors import (
 from repro.serving.scheduler import (
     AdmissionController,
     AsyncFleetScheduler,
+    CohortFlushCore,
     FlushEvent,
     ModelRouter,
     SchedulerConfig,
 )
-from repro.serving.server import FleetReport, FleetServer
 from repro.serving.session import ServingSession
 from repro.serving.telemetry import (
+    FleetReport,
     FleetTelemetry,
     FleetTickRecord,
     SessionStats,
@@ -84,6 +89,7 @@ __all__ = [
     "AdmissionController",
     "AsyncFleetScheduler",
     "BatchResult",
+    "CohortFlushCore",
     "CohortQuarantinedError",
     "ExecutionResult",
     "ExecutorClosedError",
@@ -112,7 +118,6 @@ __all__ = [
     "recovery_latencies",
     "window_conservation",
     "FleetReport",
-    "FleetServer",
     "ServingSession",
     "FleetTelemetry",
     "FleetTickRecord",

@@ -498,7 +498,7 @@ def window_conservation(scheduler: Any, load: Any) -> Dict[str, int]:
         s.labels_emitted() for s in getattr(scheduler, "_departed", [])
     )
     superseded = sum(scheduler.superseded_by_session.values())
-    queued = sum(len(q) for q in scheduler._queues.values())
+    queued = scheduler.backlog_depth()
     return {
         "admitted": admitted,
         "applied": applied,

@@ -1,52 +1,64 @@
-"""Deadline-aware asynchronous fleet scheduling with admission control.
+"""Cohort flush scheduling: one deadline policy under two front ends.
 
-``FleetServer`` clocks every session in lock-step: one tick, one batch, no
-notion of wall-clock time.  That is the right model for simulation but not
-for serving — real sessions submit windows whenever their acquisition
-hardware produces them, and the batcher has to trade batch size against the
-queueing delay of the oldest waiting window.  This module adds that layer:
+A fleet batches windows across sessions and must trade batch size against
+the queueing delay of the oldest waiting window, inside the label period.
+That policy lives once, in :class:`CohortFlushCore`:
 
-- :class:`AsyncFleetScheduler` accepts window submissions at arbitrary
-  wall-clock times and flushes a cohort's micro-batch when either (a) the
-  oldest queued window would otherwise exceed its latency deadline, or
-  (b) the batch is full.
-- :class:`AdmissionController` watches the observed p95 flush latency and,
-  when it blows the configured budget, sheds a fraction of incoming windows
-  (skip-window with telemetry — sessions are degraded, never blocked or
-  crashed) until the tail latency recovers below the hysteresis threshold.
-- :class:`ModelRouter` lets heterogeneous compiled plans (per-cohort
-  classifiers) share one scheduler: each cohort gets its own
-  :class:`~repro.serving.batcher.MicroBatcher` and queue, because windows
-  destined for different models cannot stack into one ``predict_proba``.
+- a cohort flushes when the oldest queued window's deadline arrives
+  (:meth:`~CohortFlushCore.pump`, scheduled via
+  :meth:`~CohortFlushCore.next_flush_due_s`) or when its batch is full;
+- on a serializing executor the wake time is pulled forward by an EWMA of
+  the service time of the cohorts that must flush first;
+- at most one flush per cohort is in flight (double-flushes are refused;
+  windows keep queueing behind it), and completed futures are folded back
+  on the core's own thread;
+- a worker death requeues the unserved windows (a fresher window from the
+  same session supersedes the stale one); supervised executors heal, and
+  quarantined cohorts degrade to an inline serial fallback;
+- serving plans hot-swap between flushes (:meth:`~CohortFlushCore.swap_plan`).
 
-Flush *execution* is pluggable (:mod:`repro.serving.executors`): the
-scheduler decides when a cohort flushes and hands the prepared batch to a
-:class:`~repro.serving.executors.FlushExecutor` — inline on the caller's
-thread (:class:`~repro.serving.executors.SerialExecutor`, the default and
-bit-for-bit the pre-executor behaviour), on a thread pool, or sharded
-across one worker process per cohort.  The scheduler tracks at most one
-in-flight flush per cohort (double-flushes are refused; windows keep
-queueing behind an in-flight flush) and folds completed futures back into
-session state on its own thread.
+Two front ends subclass the core and differ only in how a window is
+enqueued, how a served flush is delivered and which front-end fields a
+telemetry record carries:
+
+- :class:`AsyncFleetScheduler` owns sessions.  :meth:`~AsyncFleetScheduler.submit`
+  runs a session's prepare phase and queues its window (or sheds it via
+  :class:`AdmissionController`); a flush applies each row through the
+  owning session's ``apply_result``.  :meth:`~AsyncFleetScheduler.tick` is
+  the lock-step mode: every session prepared, every cohort flushed at once.
+- :class:`~repro.streams.consumer.StreamConsumerScheduler` reads windows
+  from cohort logs through a consumer group and publishes each flush as a
+  :class:`~repro.streams.messages.FlushResult` before acking its entries.
+
+:class:`ModelRouter` lets heterogeneous compiled plans share one front end:
+windows destined for different models cannot stack into one
+``predict_proba``, so each cohort gets its own
+:class:`~repro.serving.batcher.MicroBatcher` and queue.  Flush *execution*
+is pluggable (:mod:`repro.serving.executors`): inline on the caller's thread
+(:class:`~repro.serving.executors.SerialExecutor`, the default), on a thread
+pool, or sharded across one worker process per cohort.
 
 Everything is clock-injected (:class:`repro.utils.timing.Clock`): production
 uses the system monotonic clock, tests drive a deterministic fake through
-thousands of virtual seconds in milliseconds.  In lock-step mode
-(:meth:`AsyncFleetScheduler.tick`) a single-cohort scheduler is bit-for-bit
-identical to :meth:`repro.serving.server.FleetServer.tick`.
+thousands of virtual seconds in milliseconds.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import CognitiveArmConfig
 from repro.models.base import EEGClassifier
-from repro.serving.batcher import MicroBatcher, PreparedBatch
+from repro.serving.batcher import (
+    BatchResult,
+    ExecutionResult,
+    MicroBatcher,
+    PreparedBatch,
+)
 from repro.serving.executors import (
     WORKER_QUARANTINED,
     WORKER_RESPAWNING,
@@ -57,10 +69,13 @@ from repro.serving.executors import (
     WorkerDiedError,
     WorkerRespawnPending,
 )
-from repro.serving.server import FleetReport
-from repro.serving.session import ServingSession, next_session_id
-from repro.serving.telemetry import FleetTelemetry, FleetTickRecord, session_stats
-from repro.signals.synthetic import ParticipantProfile
+from repro.serving.session import SessionFleet
+from repro.serving.telemetry import (
+    FleetReport,
+    FleetTelemetry,
+    FleetTickRecord,
+    fleet_report,
+)
 from repro.utils.timing import SYSTEM_CLOCK, Clock
 
 #: Outcomes of :meth:`AsyncFleetScheduler.submit`.
@@ -82,14 +97,14 @@ _SERVICE_SAFETY = 1.5
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Policy knobs for :class:`AsyncFleetScheduler`.
+    """Flush and admission policy knobs shared by both front ends.
 
     Parameters
     ----------
     deadline_s:
         Maximum time any queued window may wait before its cohort's flush
         *starts*.  The scheduler reports the next due time via
-        :meth:`AsyncFleetScheduler.next_flush_due_s`; a driver that pumps by
+        :meth:`CohortFlushCore.next_flush_due_s`; a driver that pumps by
         then observes zero deadline violations.
     max_batch_size:
         Flush a cohort immediately once this many windows are queued, and
@@ -320,8 +335,14 @@ class QueuedWindow:
 
     session_id: str
     window: np.ndarray
+    #: Clock time the deadline is measured from (submission, stream-entry
+    #: timestamp or local read time).
     arrival_s: float
     due_s: float  # absolute clock time by which the flush must start
+    #: Stream-plane identity: the entry id on the cohort log and the
+    #: session's submission sequence (0 for windows submitted directly).
+    entry_id: int = 0
+    sequence: int = 0
 
 
 @dataclass
@@ -329,7 +350,7 @@ class FlushEvent:
     """Outcome of one cohort flush (async or lock-step)."""
 
     cohort: str
-    #: "deadline", "full", "drain" or "tick" (lock-step).
+    #: "deadline", "full", "drain", "worker-died" or "tick" (lock-step).
     reason: str
     flushed_at_s: float
     #: Each served session's resulting tick, keyed by session id.
@@ -357,58 +378,49 @@ class _InFlightFlush:
     started_at_s: float
     max_wait_s: float
     violations: int
+    items: List[QueuedWindow]
     prepared: PreparedBatch
     ticket: FlushTicket
     #: True when the flush ran on a degraded (quarantined-cohort serial
     #: fallback) lane rather than the configured executor.
     degraded: bool = False
+    #: Front-end telemetry fields sampled when the flush started.
+    context: Dict[str, Any] = field(default_factory=dict)
 
 
-class AsyncFleetScheduler:
-    """Deadline-aware micro-batch scheduler over heterogeneous cohorts.
+class CohortFlushCore:
+    """Per-cohort queues, deadline/full flush policy, execution and healing.
 
-    Sessions attach with a cohort (defaulting to the router's default) and
-    submit through :meth:`submit`, which runs the session's
-    ``prepare_window`` phase and queues the window with its arrival time.  A
-    cohort flushes when its batch fills (inline, inside ``submit``) or when
-    the driver pumps it at/after the oldest window's deadline
-    (:meth:`pump`, scheduled via :meth:`next_flush_due_s`).  Flushes route
-    each probability row back through the owning session's ``apply_result``
-    and record one :class:`FleetTickRecord` each.
+    Front ends fill the cohort queues through :meth:`_enqueue` and fill in
+    three seams:
 
-    In lock-step mode (:meth:`tick`) the scheduler reproduces
-    :meth:`FleetServer.tick <repro.serving.server.FleetServer.tick>`
-    bit-for-bit for a single-cohort fleet: same submission order, same
-    batching and chunking, same telemetry record.
+    - enqueue: :meth:`_supersede` accounts for a stale window that a
+      fresher one from the same session replaced (at enqueue or at
+      requeue), and :meth:`_serves` says whether a requeued window's
+      session still wants its row;
+    - delivery: :meth:`_deliver` hands one served flush onward, and
+      :meth:`_drain_tail` settles what :meth:`drain` leaves undelivered;
+    - telemetry: :meth:`_front_fields` supplies a record's front-end fields
+      and :meth:`_flush_context` the ones sampled at flush start.
 
-    Sessions are duck-typed: anything with ``session_id``,
-    ``prepare_window()`` and ``apply_result(probabilities, latency_s)``
-    serves (``start``/``stop``/``config``/``backlog_depth`` are honoured
-    when present), so deterministic test harnesses can stand in for full
-    :class:`~repro.serving.session.ServingSession` objects.
+    ``cohorts`` selects the routed cohorts this core flushes (all of them
+    when ``None``).
     """
 
     def __init__(
         self,
         router: Union[ModelRouter, EEGClassifier, Mapping[str, EEGClassifier]],
-        config: Optional[CognitiveArmConfig] = None,
+        cohorts: Optional[Sequence[str]] = None,
         scheduler_config: Optional[SchedulerConfig] = None,
         clock: Optional[Clock] = None,
         executor: Optional[FlushExecutor] = None,
     ) -> None:
         self.router = router if isinstance(router, ModelRouter) else ModelRouter(router)
-        self.config = config or CognitiveArmConfig()
+        cohorts = self.router.cohorts if cohorts is None else tuple(cohorts)
+        classifiers = {cohort: self.router.classifier_for(cohort) for cohort in cohorts}
         self.scheduler_config = scheduler_config or SchedulerConfig()
         self.clock = clock or SYSTEM_CLOCK
         self.telemetry = FleetTelemetry()
-        sched = self.scheduler_config
-        self.admission = AdmissionController(
-            sched.latency_budget_s,
-            window=sched.admission_window,
-            recovery_fraction=sched.recovery_fraction,
-            shed_ratio=sched.shed_ratio,
-            lag_budget_s=sched.stream_lag_budget_s,
-        )
         self.executor: FlushExecutor = executor or SerialExecutor()
         # Remote executors classify on worker-owned plan replicas, which
         # auto-specialise over there; binding arenas on the local plans
@@ -416,191 +428,124 @@ class AsyncFleetScheduler:
         local_execution = not getattr(self.executor, "remote_execution", False)
         self._batchers: Dict[str, MicroBatcher] = {
             cohort: MicroBatcher(
-                self.router.classifier_for(cohort),
-                max_batch_size=sched.max_batch_size,
+                classifier,
+                max_batch_size=self.scheduler_config.max_batch_size,
                 clock=self.clock,
                 specialize=local_execution,
             )
-            for cohort in self.router.cohorts
+            for cohort, classifier in classifiers.items()
         }
-        self.executor.bind(
-            {
-                cohort: self.router.classifier_for(cohort)
-                for cohort in self.router.cohorts
-            },
-            clock=self.clock,
-        )
+        self.executor.bind(classifiers, clock=self.clock)
+        self._queues: Dict[str, List[QueuedWindow]] = {cohort: [] for cohort in cohorts}
         self._inflight: Dict[str, _InFlightFlush] = {}
-        self._queues: Dict[str, List[QueuedWindow]] = {
-            cohort: [] for cohort in self.router.cohorts
+        # Per-cohort EWMA of flush *service* time (execute only).  ``None``
+        # means "no sample yet": a genuine zero-latency sample (exact under a
+        # virtual clock) must seed the estimate, not reset it.
+        self._service_ewma_s: Dict[str, Optional[float]] = {
+            cohort: None for cohort in cohorts
         }
-        #: Worker deaths observed (and healed) by this scheduler.
+        #: Worker deaths observed, healed or raised.
         self.worker_deaths = 0
         #: Plan hot-swaps completed through :meth:`swap_plan`.
         self.plan_swaps = 0
         #: Current plan version per cohort; stamped onto every flush record.
-        self._plan_versions: Dict[str, int] = {
-            cohort: 1 for cohort in self.router.cohorts
-        }
+        self._plan_versions: Dict[str, int] = {cohort: 1 for cohort in cohorts}
         #: Quarantined cohorts now served by their inline serial fallback.
         self._degraded: set = set()
         #: Lazily-built per-cohort serial fallbacks (degraded serving and
         #: drain-time service of cohorts whose worker is mid-respawn).
         self._fallbacks: Dict[str, SerialExecutor] = {}
-        # Per-cohort EWMA of flush *service* time (execute only).  ``None``
-        # means "no sample yet": a genuine zero-latency sample (exact under a
-        # virtual clock) must seed the estimate, not reset it.
-        self._service_ewma_s: Dict[str, Optional[float]] = {
-            cohort: None for cohort in self.router.cohorts
-        }
-        self._sessions: Dict[str, Any] = {}
-        self._session_cohort: Dict[str, str] = {}
-        self._departed: List[Any] = []
-        self.shed_by_session: Dict[str, int] = {}
-        self.superseded_by_session: Dict[str, int] = {}
-        self._record_index = 0
-        self._stalled_since_flush = 0
-        self._shed_since_flush = 0
         #: Most recent flush (any trigger) — the only handle on a flush that
-        #: happened inline inside :meth:`submit` when the batch filled.
+        #: ran inline when a batch filled.
         self.last_flush_event: Optional[FlushEvent] = None
 
     # ------------------------------------------------------------------ #
-    # fleet membership
+    # front-end seams
+    # ------------------------------------------------------------------ #
+    def _supersede(self, cohort: str, stale: QueuedWindow) -> None:
+        """Account for a stale window a fresher one from its session replaced."""
+        raise NotImplementedError
+
+    def _serves(self, session_id: str) -> bool:
+        """Whether a requeued window's session still wants its row."""
+        return True
+
+    def _deliver(
+        self, flight: _InFlightFlush, result: BatchResult, execution: ExecutionResult
+    ) -> Dict[str, Any]:
+        """Hand one served flush onward; returns the event's ``ticks``."""
+        raise NotImplementedError
+
+    def _drain_tail(self) -> None:
+        """Settle what :meth:`drain` leaves undelivered (default: nothing)."""
+
+    def _front_fields(self) -> Dict[str, Any]:
+        """``n_sessions``, ``stalled_sessions`` and ``backlog_depth`` (at
+        least) for the next telemetry record."""
+        raise NotImplementedError
+
+    def _flush_context(self, cohort: str) -> Dict[str, Any]:
+        """Telemetry fields sampled when a cohort's flush starts."""
+        return {}
+
+    # ------------------------------------------------------------------ #
+    # queues
     # ------------------------------------------------------------------ #
     @property
-    def n_sessions(self) -> int:
-        return len(self._sessions)
+    def cohorts(self) -> Tuple[str, ...]:
+        """The cohorts this front end flushes."""
+        return tuple(self._queues)
 
     @property
-    def sessions(self) -> List[Any]:
-        return list(self._sessions.values())
+    def inflight_cohorts(self) -> Tuple[str, ...]:
+        """Cohorts whose flush is currently running on the executor."""
+        return tuple(self._inflight)
 
-    def get_session(self, session_id: str) -> Any:
-        return self._sessions[session_id]
+    def backlog_depth(self) -> int:
+        """Windows queued here: admitted, not yet handed to the executor."""
+        return sum(len(queue) for queue in self._queues.values())
 
-    def cohort_of(self, session_id: str) -> str:
-        return self._session_cohort[session_id]
+    def _enqueue(self, cohort: str, item: QueuedWindow) -> None:
+        """Queue a window; it supersedes its session's stale queued one.
 
-    def add_session(
-        self,
-        session: Optional[Any] = None,
-        *,
-        cohort: Optional[str] = None,
-        session_id: Optional[str] = None,
-        profile: Optional[ParticipantProfile] = None,
-        **session_kwargs,
-    ) -> Any:
-        """Attach a session to a cohort (building a ServingSession if needed)."""
-        cohort = self.router.resolve(cohort)
-        if session is None:
-            if session_id is None:
-                taken = set(self._sessions)
-                taken.update(s.session_id for s in self._departed)
-                session_id = next_session_id(taken)
-            session = ServingSession(
-                session_id,
-                profile=profile,
-                config=self.config,
-                clock=self.clock,
-                **session_kwargs,
-            )
-        if session.session_id in self._sessions:
-            raise ValueError(f"session {session.session_id!r} already attached")
-        session_config = getattr(session, "config", None)
-        if session_config is not None and (
-            session_config.n_channels != self.config.n_channels
-            or session_config.window_size != self.config.window_size
-        ):
-            raise ValueError(
-                "session window/channel shape does not match the fleet; "
-                "windows from one cohort must stack into one batch"
-            )
-        start = getattr(session, "start", None)
-        if start is not None:
-            start()
-        self._sessions[session.session_id] = session
-        self._session_cohort[session.session_id] = cohort
-        self.shed_by_session.setdefault(session.session_id, 0)
-        self.superseded_by_session.setdefault(session.session_id, 0)
-        return session
-
-    def remove_session(self, session_id: str) -> Any:
-        """Detach a session; queued windows for it are flushed normally later."""
-        session = self._sessions.pop(session_id)
-        self._session_cohort.pop(session_id)
-        stop = getattr(session, "stop", None)
-        if stop is not None:
-            stop()
-        self._departed.append(session)
-        return session
-
-    # ------------------------------------------------------------------ #
-    # asynchronous submission path
-    # ------------------------------------------------------------------ #
-    def submit(self, session_id: str) -> str:
-        """Run one session's prepare phase and queue (or shed) its window.
-
-        Returns one of ``"queued"``, ``"flushed"`` (the submission filled the
-        cohort batch and triggered an inline flush, retrievable as
-        :attr:`last_flush_event`), ``"stalled"`` (the session produced no
-        window) or ``"shed"`` (refused by admission control; the window is
-        skipped with telemetry, the session keeps running).
-
-        Every window shares the configured ``deadline_s``; a uniform
-        deadline is what keeps each cohort queue due-ordered (it is FIFO by
-        arrival), which :meth:`next_flush_due_s` relies on.
-
-        If the session already has a window queued (it outran the flush
-        cadence), the fresh window supersedes the stale one — real-time
-        semantics: stale windows are dropped, not replayed — and the drop is
-        counted in :attr:`superseded_by_session`.
-
-        A full batch normally triggers an inline flush; while the cohort
-        already has a flush in flight on an asynchronous executor the
-        submission queues instead (double-flushes are refused) and the
-        backlog flushes as soon as the in-flight one is harvested.
+        Real-time semantics: stale windows are dropped, not replayed.  The
+        fresh window is appended, so every queue stays FIFO by arrival and
+        — with one shared ``deadline_s`` — due-ordered, which
+        :meth:`_schedule` relies on.
         """
-        session = self._sessions[session_id]
-        window = session.prepare_window()
-        if window is None:
-            self._stalled_since_flush += 1
-            return SUBMIT_STALLED
-        if not self.admission.admit():
-            self.shed_by_session[session_id] += 1
-            self._shed_since_flush += 1
-            return SUBMIT_SHED
-        cohort = self._session_cohort[session_id]
         queue = self._queues[cohort]
-        for index, item in enumerate(queue):
-            if item.session_id == session_id:
-                del queue[index]  # re-append below so the queue stays FIFO
-                self.superseded_by_session[session_id] += 1
+        for index, queued in enumerate(queue):
+            if queued.session_id == item.session_id:
+                del queue[index]
+                self._supersede(cohort, queued)
                 break
-        now = self.clock.now()
-        queue.append(
-            QueuedWindow(
-                session_id,
-                window,
-                arrival_s=now,
-                due_s=now + self.scheduler_config.deadline_s,
-            )
-        )
-        if (
-            len(queue) >= self.scheduler_config.max_batch_size
+        queue.append(item)
+
+    def _ready_full(self, cohort: str) -> bool:
+        """Whether the cohort's backlog fills a whole batch and may flush."""
+        return (
+            len(self._queues[cohort]) >= self.scheduler_config.max_batch_size
             and cohort not in self._inflight
             and self._cohort_available(cohort)
-        ):
-            flight = self._try_begin_flush(cohort, reason="full")
-            if flight is None:
-                # The worker died or went respawning at submit; the windows
-                # stay queued and a later pump (or drain) serves them.
-                return SUBMIT_QUEUED
-            event = self._complete(cohort)
-            if event.reason == "worker-died":
-                return SUBMIT_QUEUED
-            return SUBMIT_FLUSHED
-        return SUBMIT_QUEUED
+        )
+
+    def _flush_if_full(self, cohort: str) -> Optional[FlushEvent]:
+        """Flush a full cohort inline; ``None`` when it did not start.
+
+        While the cohort already has a flush in flight the backlog keeps
+        queueing and flushes as soon as that one is harvested; a worker
+        that died or went respawning leaves the windows queued for a later
+        pump (or drain).
+        """
+        if not self._ready_full(cohort):
+            return None
+        if self._try_begin_flush(cohort, reason="full") is None:
+            return None
+        return self._complete(cohort)
+
+    def _next_full_cohort(self) -> Optional[str]:
+        """A cohort whose backlog fills a whole batch and is free to flush."""
+        return next((c for c in self._queues if self._ready_full(c)), None)
 
     # ------------------------------------------------------------------ #
     # supervision / self-healing
@@ -667,22 +612,18 @@ class AsyncFleetScheduler:
         return due_s
 
     def _heal_worker_death(self, cohort: str) -> bool:
-        """Absorb one worker death; ``False`` means the caller must raise.
+        """Count one worker death and absorb it; ``False`` means raise.
 
         Healing is only possible when the executor supervises its workers
-        (it respawns the lane; the scheduler merely waits out the backoff).
-        Counts the death, emits a ``worker-died`` telemetry record, and
-        degrades the cohort if the supervisor quarantined it.
+        (it respawns the lane; the core merely waits out the backoff): it
+        emits a ``worker-died`` telemetry record and degrades the cohort if
+        the supervisor quarantined it.
         """
+        self.worker_deaths += 1
         if not self._supervised():
             return False
-        self.worker_deaths += 1
         self._record(
-            batch_size=0,
-            latency_s=0.0,
-            violations=0,
-            max_wait=0.0,
-            reason="worker-died",
+            "worker-died",
             cohort=cohort,
             completed_at_s=self.clock.now(),
             plan_version=self._plan_versions.get(cohort, 0),
@@ -701,7 +642,7 @@ class AsyncFleetScheduler:
         supervisor respawns it), the cohort is mid-backoff, or it was just
         quarantined (degraded — the next attempt serves via the fallback).
         Unrecoverable failures (or deaths on an unsupervised executor)
-        propagate exactly as before.
+        propagate.
         """
         try:
             return self._begin_flush(cohort, reason)
@@ -716,6 +657,9 @@ class AsyncFleetScheduler:
             self._degrade(cohort)
             return None
 
+    # ------------------------------------------------------------------ #
+    # flush scheduling
+    # ------------------------------------------------------------------ #
     def service_estimate_s(self, cohort: str) -> Optional[float]:
         """Current EWMA of the cohort's flush service time (None = no sample)."""
         return self._service_ewma_s[cohort]
@@ -758,15 +702,11 @@ class AsyncFleetScheduler:
         A driver that pumps no later than this guarantees no queued window
         waits past its deadline: the time is the earliest pending due time,
         pulled forward — on a serializing executor — by the estimated
-        service time of any other cohorts that must flush first.
+        service time of any other cohorts that must flush first.  ``None``
+        when nothing is queued.
         """
         wake, _ = self._schedule()
         return wake
-
-    @property
-    def inflight_cohorts(self) -> Tuple[str, ...]:
-        """Cohorts whose flush is currently running on the executor."""
-        return tuple(self._inflight)
 
     def pump(self, horizon_s: float = 0.0, wait: bool = True) -> List[FlushEvent]:
         """Flush cohorts whose wake time has arrived, in due order.
@@ -800,7 +740,7 @@ class AsyncFleetScheduler:
         while True:
             # A backlog that filled to a whole batch behind an in-flight
             # flush is due the moment the cohort frees up, deadline or not —
-            # the inline full-batch flush in submit() was refused for it.
+            # the inline full-batch flush was refused for it.
             cohort = self._next_full_cohort()
             reason = "full"
             if cohort is None:
@@ -878,13 +818,7 @@ class AsyncFleetScheduler:
                         cohort, reason="drain", executor=self._fallback_for(cohort)
                     )
                     events.append(self._complete(cohort))
-        if self._shed_since_flush or self._stalled_since_flush:
-            # Sheds/stalls after the last flush would otherwise never reach
-            # telemetry; emit an empty record to carry the counters (empty
-            # records are excluded from latency percentiles).
-            self._record(
-                batch_size=0, latency_s=0.0, violations=0, max_wait=0.0, reason="drain"
-            )
+        self._drain_tail()
         return events
 
     def _harvest(self, block: bool) -> List[FlushEvent]:
@@ -895,17 +829,9 @@ class AsyncFleetScheduler:
                 events.append(self._complete(cohort))
         return events
 
-    def _next_full_cohort(self) -> Optional[str]:
-        """A cohort whose backlog fills a whole batch and is free to flush."""
-        for cohort, queue in self._queues.items():
-            if (
-                len(queue) >= self.scheduler_config.max_batch_size
-                and cohort not in self._inflight
-                and self._cohort_available(cohort)
-            ):
-                return cohort
-        return None
-
+    # ------------------------------------------------------------------ #
+    # flush mechanics
+    # ------------------------------------------------------------------ #
     def _begin_flush(
         self,
         cohort: str,
@@ -928,12 +854,9 @@ class AsyncFleetScheduler:
         queue, self._queues[cohort] = self._queues[cohort], []
         if not queue:
             raise RuntimeError(f"internal: flush of empty cohort queue {cohort!r}")
+        context = self._flush_context(cohort)
         batcher = self._batchers[cohort]
         started_at = self.clock.now()
-        waits = [started_at - item.arrival_s for item in queue]
-        violations = sum(
-            1 for item in queue if started_at > item.due_s + _DEADLINE_EPS
-        )
         for item in queue:
             batcher.submit(item.session_id, item.window)
         prepared = batcher.prepare()
@@ -951,17 +874,21 @@ class AsyncFleetScheduler:
             cohort=cohort,
             reason=reason,
             started_at_s=started_at,
-            max_wait_s=max(waits, default=0.0),
-            violations=violations,
+            max_wait_s=max(started_at - item.arrival_s for item in queue),
+            violations=sum(
+                1 for item in queue if started_at > item.due_s + _DEADLINE_EPS
+            ),
+            items=queue,
             prepared=prepared,
             ticket=ticket,
             degraded=executor is not self.executor,
+            context=context,
         )
         self._inflight[cohort] = flight
         return flight
 
     def _complete(self, cohort: str) -> FlushEvent:
-        """Harvest one in-flight flush: route results, record telemetry."""
+        """Harvest one in-flight flush: deliver its rows, record telemetry."""
         flight = self._inflight[cohort]
         # Resolve the ticket *before* dropping the in-flight entry: if
         # result() raises (worker timeout), the flush stays tracked and a
@@ -974,7 +901,7 @@ class AsyncFleetScheduler:
             # serves them) instead of wedging the cohort behind a dead lane.
             # On a supervised executor the death is absorbed — the
             # supervisor schedules the respawn and a synthetic event marks
-            # the spot; unsupervised executors raise exactly as before.
+            # the spot; unsupervised executors raise.
             del self._inflight[cohort]
             self._requeue(flight)
             if not self._heal_worker_death(cohort):
@@ -999,22 +926,16 @@ class AsyncFleetScheduler:
             else _SERVICE_EWMA_ALPHA * execution.service_s
             + (1.0 - _SERVICE_EWMA_ALPHA) * previous
         )
-        per_window = result.per_window_latency_s()
-        ticks: Dict[str, Any] = {}
-        for session_id, probabilities in result.results.items():
-            session = self._sessions.get(session_id)
-            if session is None:  # departed while queued/in flight: drop its row
-                continue
-            ticks[session_id] = session.apply_result(probabilities, per_window)
+        ticks = self._deliver(flight, result, execution)
         executor_wait = max(
             0.0, (completed_at - flight.started_at_s) - execution.service_s
         )
         self._record(
+            flight.reason,
             batch_size=len(result),
             latency_s=result.latency_s,
-            violations=flight.violations,
-            max_wait=flight.max_wait_s,
-            reason=flight.reason,
+            deadline_violations=flight.violations,
+            max_queue_wait_s=flight.max_wait_s,
             cohort=cohort,
             worker=execution.worker,
             executor_wait_s=executor_wait,
@@ -1023,6 +944,7 @@ class AsyncFleetScheduler:
             plan_version=execution.plan_version
             or self._plan_versions.get(cohort, 0),
             degraded=flight.degraded,
+            **flight.context,
         )
         event = FlushEvent(
             cohort=cohort,
@@ -1042,10 +964,9 @@ class AsyncFleetScheduler:
     def _requeue(self, flight: _InFlightFlush) -> None:
         """Put an unserved flush's windows back at the head of its queue.
 
-        The original per-window arrival times were consumed by
-        ``_begin_flush``; the flush start stands in (it is never earlier, so
-        the re-derived deadlines are conservative).  Windows from sessions
-        that departed while the flush was in flight are dropped, matching
+        The original per-window arrival times stand replaced by the flush
+        start (never earlier, so the re-derived deadlines are conservative).
+        Windows whose session no longer wants a row are dropped, matching
         the harvest path, and a session that already queued a *fresher*
         window behind the in-flight flush keeps that one — the stale window
         is superseded, exactly as if the flush had never started.
@@ -1054,155 +975,38 @@ class AsyncFleetScheduler:
         queue = self._queues[flight.cohort]
         fresher = {item.session_id for item in queue}
         requeued = []
-        for index, session_id in enumerate(flight.prepared.session_ids):
-            if session_id not in self._sessions:
+        for item in flight.items:
+            if not self._serves(item.session_id):
                 continue
-            if session_id in fresher:
-                self.superseded_by_session[session_id] += 1
+            if item.session_id in fresher:
+                self._supersede(flight.cohort, item)
                 continue
             requeued.append(
-                QueuedWindow(
-                    session_id,
-                    flight.prepared.windows[index],
+                replace(
+                    item,
                     arrival_s=flight.started_at_s,
                     due_s=flight.started_at_s + deadline,
                 )
             )
         self._queues[flight.cohort] = requeued + queue
 
-    def _flush(self, cohort: str, reason: str) -> FlushEvent:
-        """Begin and immediately harvest one flush (synchronous paths)."""
-        self._begin_flush(cohort, reason)
-        return self._complete(cohort)
-
     def _record(
-        self,
-        batch_size: int,
-        latency_s: float,
-        violations: int,
-        max_wait: float,
-        reason: str,
-        cohort: str = "",
-        worker: str = "",
-        executor_wait_s: float = 0.0,
-        completed_at_s: float = 0.0,
-        specialized: bool = False,
-        plan_version: int = 0,
-        degraded: bool = False,
+        self, reason: str, batch_size: int = 0, latency_s: float = 0.0, **fields
     ) -> None:
+        """Append one telemetry record (front-end fields from the seam)."""
         self.telemetry.record(
             FleetTickRecord(
-                tick_index=self._record_index,
-                n_sessions=len(self._sessions),
+                tick_index=len(self.telemetry.records),
                 batch_size=batch_size,
-                stalled_sessions=self._stalled_since_flush,
                 batch_latency_s=latency_s,
-                backlog_depth=sum(
-                    getattr(s, "backlog_depth", 0) for s in self._sessions.values()
-                ),
-                shed_sessions=self._shed_since_flush,
-                deadline_violations=violations,
-                max_queue_wait_s=max_wait,
                 flush_reason=reason,
-                cohort=cohort,
-                worker=worker,
-                executor_wait_s=executor_wait_s,
-                completed_at_s=completed_at_s,
-                specialized=specialized,
-                plan_version=plan_version,
-                degraded=degraded,
+                **self._front_fields(),
+                **fields,
             )
         )
-        self._record_index += 1
-        self._stalled_since_flush = 0
-        self._shed_since_flush = 0
-        if batch_size > 0:
-            self.admission.observe(latency_s)
 
     # ------------------------------------------------------------------ #
-    # lock-step compatibility mode
-    # ------------------------------------------------------------------ #
-    def tick(self) -> Dict[str, Any]:
-        """Run one lock-step fleet tick, exactly like ``FleetServer.tick``.
-
-        Every attached session is prepared in insertion order and every
-        cohort is flushed immediately — no queueing, no deadlines, and
-        admission control still applies.  With admission disabled (the
-        default) and the fleet fitting in one ``max_batch_size`` chunk (so
-        both sides issue identical ``predict_proba`` calls), a single-cohort
-        scheduler is bit-for-bit identical to
-        :class:`~repro.serving.server.FleetServer`, including the telemetry
-        record.
-
-        The lock-step and asynchronous entry points must not interleave on
-        one instance: windows queued via :meth:`submit` would be applied out
-        of order behind the fresher windows ``tick`` prepares, so ``tick``
-        refuses to run until the queues are drained.
-        """
-        if any(self._queues.values()) or self._inflight:
-            raise RuntimeError(
-                "lock-step tick() cannot run with windows queued via "
-                "submit() or flushes in flight; call drain() (or pump()) first"
-            )
-        sessions = list(self._sessions.values())
-        # Fold in stalls/sheds from submit() calls that never led to a flush
-        # (their windows were stalled or shed, so nothing was ever queued).
-        stalled = self._stalled_since_flush
-        shed = self._shed_since_flush
-        self._stalled_since_flush = 0
-        self._shed_since_flush = 0
-        for session in sessions:
-            window = session.prepare_window()
-            if window is None:
-                stalled += 1
-                continue
-            if not self.admission.admit():
-                self.shed_by_session[session.session_id] += 1
-                shed += 1
-                continue
-            self._batchers[self._session_cohort[session.session_id]].submit(
-                session.session_id, window
-            )
-        ticks: Dict[str, Any] = {}
-        batch_size = 0
-        latency_s = 0.0
-        specialized_flags: List[bool] = []
-        for cohort in self.router.cohorts:
-            result = self._batchers[cohort].flush()
-            per_window = result.per_window_latency_s()
-            for session_id, probabilities in result.results.items():
-                ticks[session_id] = self._sessions[session_id].apply_result(
-                    probabilities, per_window
-                )
-            batch_size += len(result)
-            latency_s += result.latency_s
-            if len(result):
-                # Per-flush samples, matching the async path: cohorts are
-                # independent service events, not one combined latency.
-                self.admission.observe(result.latency_s)
-                specialized_flags.append(result.specialized)
-        self.telemetry.record(
-            FleetTickRecord(
-                tick_index=self._record_index,
-                n_sessions=len(sessions),
-                batch_size=batch_size,
-                stalled_sessions=stalled,
-                batch_latency_s=latency_s,
-                backlog_depth=sum(
-                    getattr(s, "backlog_depth", 0) for s in sessions
-                ),
-                shed_sessions=shed,
-                flush_reason="tick",
-                # The record's contract is "every classifier call hit an
-                # arena": all non-empty cohort flushes must agree.
-                specialized=bool(specialized_flags) and all(specialized_flags),
-            )
-        )
-        self._record_index += 1
-        return ticks
-
-    # ------------------------------------------------------------------ #
-    # plan hot-swap
+    # plan hot-swap / fleet health
     # ------------------------------------------------------------------ #
     def swap_plan(
         self,
@@ -1217,7 +1021,9 @@ class AsyncFleetScheduler:
         ``classifier`` (a live classifier object).  Any in-flight flush for
         the cohort is harvested first, so no flush straddles the swap: every
         flush serves entirely on the old plan or entirely on the new one,
-        and version-aware executors stamp which on each record.
+        and version-aware executors stamp which on each record.  On the
+        stream plane this is also the handler for
+        :class:`~repro.streams.messages.PlanSwap` control entries.
 
         On a remote, swap-capable executor (process shards, the chaos
         simulator) the payload ships to the worker as a versioned control
@@ -1272,7 +1078,7 @@ class AsyncFleetScheduler:
         """
         health: Dict[str, Dict[str, Any]] = {}
         supervised = self._supervised()
-        for cohort in self.router.cohorts:
+        for cohort, queue in self._queues.items():
             if cohort in self._degraded:
                 state = "degraded"
             elif supervised:
@@ -1286,36 +1092,245 @@ class AsyncFleetScheduler:
                 "state": state,
                 "plan_version": self._plan_versions.get(cohort, 0),
                 "restarts": restarts,
-                "queued": len(self._queues[cohort]),
+                "queued": len(queue),
             }
         return health
 
     # ------------------------------------------------------------------ #
     # reporting / lifecycle
     # ------------------------------------------------------------------ #
+    def _specialization(self) -> Dict[str, Dict[str, float]]:
+        return {
+            cohort: stats
+            for cohort, batcher in self._batchers.items()
+            if (stats := batcher.specialization_stats()) is not None
+        }
+
+    def report(self) -> FleetReport:
+        """Flush-side fleet summary.
+
+        Two cores fed the same windows under the same virtual clock produce
+        equal reports, field for field (the replay determinism contract).
+        """
+        return fleet_report(self.telemetry, specialization=self._specialization())
+
     def shutdown(self) -> None:
-        """Drain pending work, stop the executor, then every session."""
+        """Drain pending work, then stop the executor (and any fallbacks)."""
         self.drain()
         self.executor.shutdown()
         for fallback in self._fallbacks.values():
             fallback.shutdown()
         self._fallbacks = {}
         self._degraded = set()
-        for session_id in list(self._sessions):
-            self.remove_session(session_id)
 
+
+class AsyncFleetScheduler(SessionFleet, CohortFlushCore):
+    """Session-owning front end: deadline-aware micro-batches per cohort.
+
+    Sessions attach with a cohort (defaulting to the router's default) and
+    submit through :meth:`submit`, which runs the session's
+    ``prepare_window`` phase and queues the window with its arrival time.  A
+    cohort flushes when its batch fills (inline, inside ``submit``) or when
+    the driver pumps it at/after the oldest window's deadline
+    (:meth:`pump`, scheduled via :meth:`next_flush_due_s`).  Flushes route
+    each probability row back through the owning session's ``apply_result``
+    and record one :class:`FleetTickRecord` each.
+
+    :meth:`tick` is the lock-step mode: every session prepared in insertion
+    order, every cohort flushed at once.  A one-session fleet is
+    tick-for-tick identical to
+    :class:`~repro.core.realtime.RealTimeInferenceLoop`.
+
+    Sessions are duck-typed (see :class:`~repro.serving.session.SessionFleet`),
+    so deterministic test harnesses can stand in for full
+    :class:`~repro.serving.session.ServingSession` objects.
+    """
+
+    def __init__(
+        self,
+        router: Union[ModelRouter, EEGClassifier, Mapping[str, EEGClassifier]],
+        config: Optional[CognitiveArmConfig] = None,
+        scheduler_config: Optional[SchedulerConfig] = None,
+        clock: Optional[Clock] = None,
+        executor: Optional[FlushExecutor] = None,
+    ) -> None:
+        CohortFlushCore.__init__(
+            self, router, None, scheduler_config, clock, executor
+        )
+        self.config = config or CognitiveArmConfig()
+        sched = self.scheduler_config
+        self.admission = AdmissionController(
+            sched.latency_budget_s,
+            window=sched.admission_window,
+            recovery_fraction=sched.recovery_fraction,
+            shed_ratio=sched.shed_ratio,
+            lag_budget_s=sched.stream_lag_budget_s,
+        )
+        self._init_sessions()
+        self._stalled_since_flush = 0
+        self._shed_since_flush = 0
+
+    def _attach_cohort(self, cohort: Optional[str]) -> str:
+        return self.router.resolve(cohort)
+
+    # ------------------------------------------------------------------ #
+    # asynchronous submission path
+    # ------------------------------------------------------------------ #
+    def submit(self, session_id: str) -> str:
+        """Run one session's prepare phase and queue (or shed) its window.
+
+        Returns one of ``"queued"``, ``"flushed"`` (the submission filled the
+        cohort batch and triggered an inline flush, retrievable as
+        :attr:`last_flush_event`), ``"stalled"`` (the session produced no
+        window) or ``"shed"`` (refused by admission control; the window is
+        skipped with telemetry, the session keeps running).
+
+        If the session already has a window queued (it outran the flush
+        cadence), the fresh window supersedes the stale one and the drop is
+        counted in :attr:`superseded_by_session`.  A full batch normally
+        flushes inline; while the cohort already has a flush in flight on an
+        asynchronous executor the submission queues instead.
+        """
+        session = self._sessions[session_id]
+        window = session.prepare_window()
+        if window is None:
+            self._stalled_since_flush += 1
+            return SUBMIT_STALLED
+        if not self.admission.admit():
+            self.shed_by_session[session_id] += 1
+            self._shed_since_flush += 1
+            return SUBMIT_SHED
+        cohort = self._session_cohort[session_id]
+        now = self.clock.now()
+        self._enqueue(
+            cohort,
+            QueuedWindow(
+                session_id,
+                window,
+                arrival_s=now,
+                due_s=now + self.scheduler_config.deadline_s,
+            ),
+        )
+        event = self._flush_if_full(cohort)
+        if event is None or event.reason == "worker-died":
+            return SUBMIT_QUEUED
+        return SUBMIT_FLUSHED
+
+    # ------------------------------------------------------------------ #
+    # front-end seams
+    # ------------------------------------------------------------------ #
+    def _supersede(self, cohort: str, stale: QueuedWindow) -> None:
+        self.superseded_by_session[stale.session_id] += 1
+
+    def _serves(self, session_id: str) -> bool:
+        return session_id in self._sessions
+
+    def _deliver(
+        self, flight: _InFlightFlush, result: BatchResult, execution: ExecutionResult
+    ) -> Dict[str, Any]:
+        per_window = result.per_window_latency_s()
+        ticks: Dict[str, Any] = {}
+        for session_id, probabilities in result.results.items():
+            session = self._sessions.get(session_id)
+            if session is None:  # departed while queued/in flight: drop its row
+                continue
+            ticks[session_id] = session.apply_result(probabilities, per_window)
+        self.admission.observe(result.latency_s)
+        return ticks
+
+    def _drain_tail(self) -> None:
+        if self._shed_since_flush or self._stalled_since_flush:
+            # Sheds/stalls after the last flush would otherwise never reach
+            # telemetry; emit an empty record to carry the counters (empty
+            # records are excluded from latency percentiles).
+            self._record("drain")
+
+    def _front_fields(self) -> Dict[str, Any]:
+        fields = {
+            "n_sessions": len(self._sessions),
+            "stalled_sessions": self._stalled_since_flush,
+            "shed_sessions": self._shed_since_flush,
+            "backlog_depth": sum(
+                getattr(s, "backlog_depth", 0) for s in self._sessions.values()
+            ),
+        }
+        self._stalled_since_flush = 0
+        self._shed_since_flush = 0
+        return fields
+
+    # ------------------------------------------------------------------ #
+    # lock-step mode
+    # ------------------------------------------------------------------ #
+    def tick(self) -> Dict[str, Any]:
+        """Run one lock-step fleet tick; returns each served session's tick.
+
+        Every attached session is prepared in insertion order and every
+        cohort is flushed immediately — no queueing, no deadlines — into one
+        telemetry record; admission control still applies.
+
+        The lock-step and asynchronous entry points must not interleave on
+        one instance: windows queued via :meth:`submit` would be applied out
+        of order behind the fresher windows ``tick`` prepares, so ``tick``
+        refuses to run until the queues are drained.
+        """
+        if any(self._queues.values()) or self._inflight:
+            raise RuntimeError(
+                "lock-step tick() cannot run with windows queued via "
+                "submit() or flushes in flight; call drain() (or pump()) first"
+            )
+        # Stalls/sheds from submit() calls that never led to a flush fold
+        # into this tick's record along with the tick's own.
+        for session in self.sessions:
+            window = session.prepare_window()
+            if window is None:
+                self._stalled_since_flush += 1
+                continue
+            if not self.admission.admit():
+                self.shed_by_session[session.session_id] += 1
+                self._shed_since_flush += 1
+                continue
+            self._batchers[self._session_cohort[session.session_id]].submit(
+                session.session_id, window
+            )
+        ticks: Dict[str, Any] = {}
+        batch_size = 0
+        latency_s = 0.0
+        specialized_flags: List[bool] = []
+        for batcher in self._batchers.values():
+            result = batcher.flush()
+            per_window = result.per_window_latency_s()
+            for session_id, probabilities in result.results.items():
+                ticks[session_id] = self._sessions[session_id].apply_result(
+                    probabilities, per_window
+                )
+            batch_size += len(result)
+            latency_s += result.latency_s
+            if len(result):
+                # Per-flush samples, matching the async path: cohorts are
+                # independent service events, not one combined latency.
+                self.admission.observe(result.latency_s)
+                specialized_flags.append(result.specialized)
+        self._record(
+            "tick",
+            batch_size=batch_size,
+            latency_s=latency_s,
+            # The record's contract is "every classifier call hit an
+            # arena": all non-empty cohort flushes must agree.
+            specialized=bool(specialized_flags) and all(specialized_flags),
+        )
+        return ticks
+
+    # ------------------------------------------------------------------ #
+    # reporting / lifecycle
+    # ------------------------------------------------------------------ #
     def report(self) -> FleetReport:
         """Fleet summary over attached and departed sessions."""
-        everyone = list(self._sessions.values()) + self._departed
-        return FleetReport(
-            ticks=self._record_index,
-            fleet=self.telemetry.summary(),
-            sessions=session_stats(everyone),
-            cohorts=self.telemetry.cohort_breakdown(),
-            workers=self.telemetry.worker_breakdown(),
-            specialization={
-                cohort: stats
-                for cohort, batcher in self._batchers.items()
-                if (stats := batcher.specialization_stats()) is not None
-            },
+        return fleet_report(
+            self.telemetry, self.sessions + self._departed, self._specialization()
         )
+
+    def shutdown(self) -> None:
+        """Drain pending work, stop the executor, then every session."""
+        super().shutdown()
+        for session_id in list(self._sessions):
+            self.remove_session(session_id)

@@ -1,12 +1,12 @@
-"""Per-session state for the fleet server.
+"""Per-session state and fleet membership for the serving front ends.
 
 A :class:`ServingSession` is one participant's end of the serving system: it
 owns the simulated board, the preprocessing/smoothing state (via a
 classifier-less :class:`RealTimeInferenceLoop`) and the actuation stack
 (controller + voice-mode multiplexer).  It deliberately does *not* own a
-classifier — classification is the shared, batched resource the
-:class:`~repro.serving.server.FleetServer` amortises across sessions — so the
-session exposes the loop's two-phase API instead:
+classifier — classification is the shared, batched resource a fleet
+amortises across sessions — so the session exposes the loop's two-phase API
+instead:
 
 ``prepare_window()``
     advance one label period and return the filtered classification window
@@ -18,11 +18,17 @@ session exposes the loop's two-phase API instead:
 Because both phases delegate to the very same primitives
 ``RealTimeInferenceLoop.tick`` is built from, a one-session fleet is
 tick-for-tick identical to the single-session loop.
+
+:class:`SessionFleet` is the one copy of fleet membership (id allocation,
+attach-time checks, departure, per-session shed/supersession counters)
+shared by the two session-owning front ends:
+:class:`~repro.serving.scheduler.AsyncFleetScheduler` and
+:class:`~repro.streams.producer.StreamFleetProducer`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,23 +43,8 @@ from repro.signals.synthetic import ACTION_IDLE, ACTIONS, ParticipantProfile
 from repro.utils.timing import Clock
 
 
-def next_session_id(taken: Iterable[str]) -> str:
-    """Smallest free auto-generated ``session-N`` id.
-
-    Shared by :class:`~repro.serving.server.FleetServer` and
-    :class:`~repro.serving.scheduler.AsyncFleetScheduler` so the two serving
-    front-ends can never drift on id allocation.  ``taken`` should include
-    departed sessions' ids — they stay reserved for the life of the fleet.
-    """
-    taken = set(taken)
-    index = len(taken)
-    while f"session-{index}" in taken:
-        index += 1
-    return f"session-{index}"
-
-
 class ServingSession:
-    """One concurrent user of the fleet server.
+    """One concurrent user of a serving fleet.
 
     Parameters
     ----------
@@ -199,3 +190,116 @@ class ServingSession:
             for tick, intent in zip(self.loop.ticks, self._intended)
         )
         return correct / len(self._intended)
+
+
+class SessionFleet:
+    """Session membership for a front end that owns its sessions.
+
+    Hosts set ``config`` and ``clock``, call :meth:`_init_sessions` from
+    their constructor and implement :meth:`_attach_cohort`.  Sessions are
+    duck-typed: anything with ``session_id``, ``prepare_window()`` and
+    ``apply_result(probabilities, latency_s)`` serves
+    (``start``/``stop``/``config`` are honoured when present).
+    """
+
+    config: CognitiveArmConfig
+    clock: Optional[Clock]
+
+    def _init_sessions(self) -> None:
+        self._sessions: Dict[str, Any] = {}
+        self._session_cohort: Dict[str, str] = {}
+        self._departed: List[Any] = []
+        self.shed_by_session: Dict[str, int] = {}
+        self.superseded_by_session: Dict[str, int] = {}
+
+    def _attach_cohort(self, cohort: Optional[str]) -> str:
+        """Resolve (and prepare) the cohort a joining session is served in."""
+        raise NotImplementedError
+
+    @property
+    def n_sessions(self) -> int:
+        return len(self._sessions)
+
+    @property
+    def sessions(self) -> List[Any]:
+        return list(self._sessions.values())
+
+    def get_session(self, session_id: str) -> Any:
+        return self._sessions[session_id]
+
+    def cohort_of(self, session_id: str) -> str:
+        return self._session_cohort[session_id]
+
+    def add_session(
+        self,
+        session: Optional[Any] = None,
+        *,
+        cohort: Optional[str] = None,
+        session_id: Optional[str] = None,
+        profile: Optional[ParticipantProfile] = None,
+        **session_kwargs,
+    ) -> Any:
+        """Attach a session to a cohort (building a ServingSession if needed).
+
+        Auto-generated ids are the smallest free ``session-N``; departed
+        sessions' ids stay reserved for the life of the fleet.  The session
+        is started immediately, so it is eligible for the very next
+        submission or tick.
+        """
+        cohort = self._attach_cohort(cohort)
+        if session is None:
+            if session_id is None:
+                taken = set(self._sessions)
+                taken.update(s.session_id for s in self._departed)
+                index = len(taken)
+                while f"session-{index}" in taken:
+                    index += 1
+                session_id = f"session-{index}"
+            session = ServingSession(
+                session_id,
+                profile=profile,
+                config=self.config,
+                clock=self.clock,
+                **session_kwargs,
+            )
+        if session.session_id in self._sessions:
+            raise ValueError(f"session {session.session_id!r} already attached")
+        session_config = getattr(session, "config", None)
+        if session_config is not None:
+            if (
+                session_config.n_channels != self.config.n_channels
+                or session_config.window_size != self.config.window_size
+            ):
+                raise ValueError(
+                    "session window/channel shape does not match the fleet; "
+                    "windows from one cohort must stack into one batch"
+                )
+            if (
+                session_config.label_rate_hz != self.config.label_rate_hz
+                or session_config.sampling_rate_hz != self.config.sampling_rate_hz
+            ):
+                raise ValueError(
+                    "session clock does not match the fleet; all boards advance "
+                    "in lock-step simulated time at the fleet's label rate"
+                )
+        start = getattr(session, "start", None)
+        if start is not None:
+            start()
+        self._sessions[session.session_id] = session
+        self._session_cohort[session.session_id] = cohort
+        self.shed_by_session.setdefault(session.session_id, 0)
+        self.superseded_by_session.setdefault(session.session_id, 0)
+        return session
+
+    def remove_session(self, session_id: str) -> Any:
+        """Detach a session; its stats remain in the final report.
+
+        Rows still owed to it (queued or in flight) are dropped on arrival.
+        """
+        session = self._sessions.pop(session_id)
+        self._session_cohort.pop(session_id)
+        stop = getattr(session, "stop", None)
+        if stop is not None:
+            stop()
+        self._departed.append(session)
+        return session

@@ -9,7 +9,7 @@ and per-session accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -342,3 +342,45 @@ def session_stats(sessions: Sequence) -> List[SessionStats]:
         )
         for s in sessions
     ]
+
+
+@dataclass
+class FleetReport:
+    """End-of-run summary: fleet aggregates plus per-session roll-ups.
+
+    ``cohorts`` and ``workers`` break the aggregate down by model cohort
+    (queue wait vs service time) and execution lane (utilisation); they are
+    only populated by flush records that carry those labels, and stay empty
+    for pure lock-step runs.
+    """
+
+    ticks: int
+    fleet: Dict[str, float]
+    sessions: List[SessionStats] = field(default_factory=list)
+    cohorts: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    workers: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: Per-cohort plan-specialisation counters (arena hit rate, held scratch
+    #: bytes); empty when no front end in this process runs the plans.
+    specialization: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    def session(self, session_id: str) -> SessionStats:
+        for stats in self.sessions:
+            if stats.session_id == session_id:
+                return stats
+        raise KeyError(session_id)
+
+
+def fleet_report(
+    telemetry: FleetTelemetry,
+    sessions: Sequence = (),
+    specialization: Optional[Dict[str, Dict[str, float]]] = None,
+) -> FleetReport:
+    """Roll telemetry (and the sessions it served) up into a FleetReport."""
+    return FleetReport(
+        ticks=len(telemetry.records),
+        fleet=telemetry.summary(),
+        sessions=session_stats(sessions),
+        cohorts=telemetry.cohort_breakdown(),
+        workers=telemetry.worker_breakdown(),
+        specialization=dict(specialization or {}),
+    )

@@ -1,7 +1,8 @@
 """Producer side of the streaming data plane.
 
-A :class:`StreamFleetProducer` owns the sessions — exactly the role
-:class:`~repro.serving.scheduler.AsyncFleetScheduler` plays in the direct
+A :class:`StreamFleetProducer` owns the sessions — through the same
+:class:`~repro.serving.session.SessionFleet` membership as
+:class:`~repro.serving.scheduler.AsyncFleetScheduler` in the direct
 configuration — but instead of queueing windows locally it appends
 :class:`~repro.streams.messages.WindowSubmission` entries to per-cohort
 :class:`~repro.streams.stream.WindowStream` logs and lets one or more
@@ -36,10 +37,13 @@ from repro.serving.scheduler import (
     AdmissionController,
     SchedulerConfig,
 )
-from repro.serving.server import FleetReport
-from repro.serving.session import ServingSession, next_session_id
-from repro.serving.telemetry import FleetTelemetry, FleetTickRecord, session_stats
-from repro.signals.synthetic import ParticipantProfile
+from repro.serving.session import SessionFleet
+from repro.serving.telemetry import (
+    FleetReport,
+    FleetTelemetry,
+    FleetTickRecord,
+    fleet_report,
+)
 from repro.streams.consumer import SCHEDULER_GROUP
 from repro.streams.messages import FlushResult, WindowSubmission
 from repro.streams.topology import StreamTopology
@@ -49,7 +53,7 @@ from repro.utils.timing import SYSTEM_CLOCK, Clock
 PRODUCER_GROUP = "producer"
 
 
-class StreamFleetProducer:
+class StreamFleetProducer(SessionFleet):
     """Session owner that feeds cohort streams and harvests result flushes.
 
     Parameters
@@ -108,35 +112,13 @@ class StreamFleetProducer:
         self.telemetry = FleetTelemetry()
         self.result_stream = topology.result_stream
         self.result_stream.create_group(self.group, exists_ok=True)
-        self._sessions: Dict[str, Any] = {}
-        self._session_cohort: Dict[str, str] = {}
+        self._init_sessions()
         self._sequences: Dict[str, int] = {}
-        self._departed: List[Any] = []
-        self.shed_by_session: Dict[str, int] = {}
-        self.superseded_by_session: Dict[str, int] = {}
         self.submitted = 0
         self.labels_applied = 0
         self.superseded_count = 0
-        self._record_index = 0
         self._stalled_since_flush = 0
         self._shed_since_flush = 0
-
-    # ------------------------------------------------------------------ #
-    # fleet membership (mirrors AsyncFleetScheduler)
-    # ------------------------------------------------------------------ #
-    @property
-    def n_sessions(self) -> int:
-        return len(self._sessions)
-
-    @property
-    def sessions(self) -> List[Any]:
-        return list(self._sessions.values())
-
-    def get_session(self, session_id: str) -> Any:
-        return self._sessions[session_id]
-
-    def cohort_of(self, session_id: str) -> str:
-        return self._session_cohort[session_id]
 
     @property
     def cohorts(self) -> Tuple[str, ...]:
@@ -146,64 +128,13 @@ class StreamFleetProducer:
             seen.setdefault(cohort)
         return tuple(seen)
 
-    def add_session(
-        self,
-        session: Optional[Any] = None,
-        *,
-        cohort: str = "default",
-        session_id: Optional[str] = None,
-        profile: Optional[ParticipantProfile] = None,
-        **session_kwargs,
-    ) -> Any:
-        """Attach a session to a cohort (building a ServingSession if needed).
-
-        The cohort's stream is created on first use; unlike the direct
-        scheduler there is no router to validate against — the consumer that
-        owns the cohort stream does the routing.
-        """
-        if session is None:
-            if session_id is None:
-                taken = set(self._sessions)
-                taken.update(s.session_id for s in self._departed)
-                session_id = next_session_id(taken)
-            session = ServingSession(
-                session_id,
-                profile=profile,
-                config=self.config,
-                clock=self.clock,
-                **session_kwargs,
-            )
-        if session.session_id in self._sessions:
-            raise ValueError(f"session {session.session_id!r} already attached")
-        session_config = getattr(session, "config", None)
-        if session_config is not None and (
-            session_config.n_channels != self.config.n_channels
-            or session_config.window_size != self.config.window_size
-        ):
-            raise ValueError(
-                "session window/channel shape does not match the fleet; "
-                "windows from one cohort must stack into one batch"
-            )
-        self.topology.cohort_stream(cohort)  # create before first submit
-        start = getattr(session, "start", None)
-        if start is not None:
-            start()
-        self._sessions[session.session_id] = session
-        self._session_cohort[session.session_id] = cohort
-        self._sequences.setdefault(session.session_id, 0)
-        self.shed_by_session.setdefault(session.session_id, 0)
-        self.superseded_by_session.setdefault(session.session_id, 0)
-        return session
-
-    def remove_session(self, session_id: str) -> Any:
-        """Detach a session; in-flight results for it are dropped on harvest."""
-        session = self._sessions.pop(session_id)
-        self._session_cohort.pop(session_id)
-        stop = getattr(session, "stop", None)
-        if stop is not None:
-            stop()
-        self._departed.append(session)
-        return session
+    def _attach_cohort(self, cohort: Optional[str]) -> str:
+        # No router to validate against — the consumer that owns the
+        # cohort stream does the routing.  Create the stream before the
+        # first submit.
+        cohort = "default" if cohort is None else cohort
+        self.topology.cohort_stream(cohort)
+        return cohort
 
     # ------------------------------------------------------------------ #
     # submission
@@ -241,7 +172,7 @@ class StreamFleetProducer:
             self._shed_since_flush += 1
             return SUBMIT_SHED
         cohort = self._session_cohort[session_id]
-        sequence = self._sequences[session_id]
+        sequence = self._sequences.get(session_id, 0)
         self._sequences[session_id] = sequence + 1
         submission = WindowSubmission(
             session_id=session_id,
@@ -301,7 +232,7 @@ class StreamFleetProducer:
             return
         self.telemetry.record(
             FleetTickRecord(
-                tick_index=self._record_index,
+                tick_index=len(self.telemetry.records),
                 n_sessions=len(self._sessions),
                 batch_size=n_rows,
                 stalled_sessions=self._stalled_since_flush,
@@ -327,7 +258,6 @@ class StreamFleetProducer:
                 stream_depth=result.stream_depth,
             )
         )
-        self._record_index += 1
         self._stalled_since_flush = 0
         self._shed_since_flush = 0
         if n_rows > 0:
@@ -342,15 +272,7 @@ class StreamFleetProducer:
 
     def report(self) -> FleetReport:
         """Fleet summary over attached and departed sessions."""
-        everyone = list(self._sessions.values()) + self._departed
-        return FleetReport(
-            ticks=self._record_index,
-            fleet=self.telemetry.summary(),
-            sessions=session_stats(everyone),
-            cohorts=self.telemetry.cohort_breakdown(),
-            workers=self.telemetry.worker_breakdown(),
-            specialization={},
-        )
+        return fleet_report(self.telemetry, self.sessions + self._departed)
 
     def shutdown(self) -> None:
         """Harvest outstanding results and stop every session."""

@@ -16,6 +16,8 @@ from tests.helpers import (
     SimulatedLoad,
 )
 
+from repro.serving.batcher import execute_windows
+from repro.serving.executors import WORKER_RUNNING, WorkerDiedError
 from repro.serving.scheduler import AsyncFleetScheduler, SchedulerConfig
 from repro.streams import (
     SCHEDULER_GROUP,
@@ -193,39 +195,164 @@ class TestDuplex:
 
     def test_duplex_matches_direct_scheduler_row_for_row(self, clock):
         """The stream plane must not change *what* is computed, only how it
-        travels: same sessions, same arrivals, same classifier => the same
-        probability rows in the same flush grouping."""
+        travels: same sessions, same arrivals, same classifiers => the same
+        flush sequence and the same probability rows.  Two cohorts on the
+        serializing default executor, with service times long enough that
+        the EWMA wake pull-forward decides when cohorts flush."""
         config = SchedulerConfig(deadline_s=0.05, max_batch_size=8)
+        cohorts = ("a", "b")
 
         def run(factory):
             local_clock = FakeClock()
-            target = factory(local_clock, config)
-            for i in range(4):
+            target = factory(
+                local_clock,
+                {
+                    cohort: ClockedStubClassifier(
+                        local_clock, base_latency_s=0.008, peak_class=index
+                    )
+                    for index, cohort in enumerate(cohorts)
+                },
+            )
+            for i in range(6):
                 target.add_session(
-                    ScriptedSession(f"s{i}", seed=i), cohort="a"
+                    ScriptedSession(f"s{i}", seed=i), cohort=cohorts[i % 2]
                 )
-            SimulatedLoad(target, local_clock, period_s=0.1).run(3.0)
-            return {
+            load = SimulatedLoad(
+                target, local_clock, period_s=0.1, jitter_s=0.03, seed=5
+            ).run(3.0)
+            flushes = [
+                (
+                    event.cohort,
+                    event.reason,
+                    event.batch_size,
+                    event.flushed_at_s,
+                    event.deadline_violations,
+                    event.max_queue_wait_s,
+                )
+                for event in load.flush_events
+            ]
+            rows = {
                 s.session_id: [probs for probs, _ in s.applied]
                 for s in target.sessions
             }
+            return flushes, rows
 
-        direct = run(
-            lambda clk, cfg: AsyncFleetScheduler(
-                {"a": ClockedStubClassifier(clk, base_latency_s=0.001)},
-                scheduler_config=cfg,
-                clock=clk,
+        direct_flushes, direct = run(
+            lambda clk, classifiers: AsyncFleetScheduler(
+                classifiers, scheduler_config=config, clock=clk
             )
         )
-        streamed = run(
-            lambda clk, cfg: StreamDuplex(
-                {"a": ClockedStubClassifier(clk, base_latency_s=0.001)},
-                scheduler_config=cfg,
-                clock=clk,
+        streamed_flushes, streamed = run(
+            lambda clk, classifiers: StreamDuplex(
+                classifiers, scheduler_config=config, clock=clk
             )
         )
+        # Some deadline flush started before its oldest window was due:
+        # the other cohort's service estimate pulled the wake forward.
+        assert any(
+            reason == "deadline" and wait < config.deadline_s - 1e-9
+            for _, reason, _, _, _, wait in direct_flushes
+        )
+        assert {cohort for cohort, *_ in direct_flushes} == set(cohorts)
+        assert [f[:5] for f in streamed_flushes] == [f[:5] for f in direct_flushes]
         assert direct.keys() == streamed.keys()
         for session_id in direct:
             assert len(direct[session_id]) == len(streamed[session_id])
             for left, right in zip(direct[session_id], streamed[session_id]):
                 np.testing.assert_allclose(left, right, atol=1e-12)
+
+
+class _Ticket:
+    """A flush ticket that can stay in flight until its worker is killed."""
+
+    def __init__(self, cohort, execution, in_flight):
+        self.cohort = cohort
+        self.execution = execution
+        self.in_flight = in_flight
+        self.dead = False
+
+    def done(self):
+        return self.dead or not self.in_flight
+
+    def result(self, timeout=None):
+        if self.dead:
+            raise WorkerDiedError(self.cohort, pending=(self,), detail="test kill")
+        assert not self.in_flight, "harvested a flush that never finished"
+        return self.execution
+
+
+class _FirstFlushDiesExecutor:
+    """Supervised stub: the first flush stays in flight until :meth:`kill`
+    reports its worker dead; every later flush completes at once."""
+
+    serializes_flushes = False
+    remote_execution = False
+
+    def __init__(self):
+        self.first = None
+
+    def bind(self, classifiers, clock):
+        self.classifiers = dict(classifiers)
+        self.clock = clock
+
+    def worker_state(self, cohort):
+        return WORKER_RUNNING
+
+    def respawn_due_s(self, cohort):
+        return None
+
+    def submit_flush(self, cohort, prepared):
+        execution = execute_windows(
+            self.classifiers[cohort],
+            prepared.windows,
+            prepared.chunk_size,
+            clock=self.clock,
+        )
+        ticket = _Ticket(cohort, execution, in_flight=self.first is None)
+        if self.first is None:
+            self.first = ticket
+        return ticket
+
+    def kill(self):
+        self.first.dead = True
+
+    def shutdown(self):
+        pass
+
+
+class TestRequeueAcrossFrontEnds:
+    """A worker dying mid-flush while a fresher window from the same session
+    waits behind it: both front ends supersede the stale window on requeue."""
+
+    @pytest.mark.parametrize("front", ["direct", "duplex"])
+    def test_mid_flush_death_supersedes_stale_window(self, clock, front):
+        executor = _FirstFlushDiesExecutor()
+        factory = AsyncFleetScheduler if front == "direct" else StreamDuplex
+        target = factory(
+            {"a": ClockedStubClassifier(clock, base_latency_s=0.001)},
+            scheduler_config=SchedulerConfig(deadline_s=0.05),
+            clock=clock,
+            executor=executor,
+        )
+        core = target if front == "direct" else target.consumer
+        session = target.add_session(ScriptedSession("s0"), cohort="a")
+        assert target.submit("s0") == "queued"
+        clock.advance(0.05)
+        assert target.pump(wait=False) == []
+        assert core.inflight_cohorts == ("a",)
+        assert target.submit("s0") == "queued"  # fresher, behind the flight
+        executor.kill()
+        target.drain()
+        assert core.worker_deaths == 1
+        assert core.inflight_cohorts == () and core.backlog_depth() == 0
+        # Conservation: two admitted windows, one row applied, one superseded.
+        assert len(session.applied) == 1
+        if front == "direct":
+            superseded = target.superseded_by_session
+        else:
+            superseded = target.producer.superseded_by_session
+            assert target.producer.labels_applied == 1
+            assert target.producer.superseded_count == 1
+            # The consumer acked the served *and* the superseded entry.
+            assert target.topology.cohort_stream("a").pending(SCHEDULER_GROUP) == []
+        assert superseded == {"s0": 1}
