@@ -8,9 +8,6 @@ produces a textual version of the whole evaluation section.
 ``once`` wraps ``benchmark.pedantic`` so each expensive experiment executes a
 single round instead of pytest-benchmark's default calibration loop.
 
-``measure_speedup`` is the one way a benchmark times a candidate against
-its baseline for a speedup gate (see :func:`measure_speedup`).
-
 ``_isolated_autotune_cache`` points ``REPRO_AUTOTUNE_CACHE`` at a per-run
 temporary file for every benchmark in this directory: timing assertions must
 never be decided by whatever a previous run (or the developer's real
@@ -20,54 +17,9 @@ must never pollute the host's persistent cache with its own measurements.
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.nn import autotune
-from repro.utils.timing import time_calls
-
-#: Alternating baseline/candidate rounds in one measurement pass.
-SPEEDUP_ROUNDS = 3
-#: Extra passes, each twice as deep, before a sub-floor ratio is reported.
-SPEEDUP_RETRIES = 2
-
-
-def _interleaved_medians(baseline, candidate, repeats):
-    """Per-side median over alternating rounds of ``repeats`` calls each.
-
-    Timing one side fully before the other lets a shared host change speed
-    between the two halves and decide the ratio; alternating rounds make
-    both sides sample the same host phases.
-    """
-    baseline_times, candidate_times = [], []
-    for _ in range(SPEEDUP_ROUNDS):
-        baseline_times.extend(time_calls(baseline, repeats))
-        candidate_times.extend(time_calls(candidate, repeats))
-    return float(np.median(baseline_times)), float(np.median(candidate_times))
-
-
-def measure_speedup(baseline, candidate, floor, repeats):
-    """``(baseline_s, candidate_s)`` medians for a ``baseline / candidate`` gate.
-
-    Confirm-retry: a pass whose ratio lands under ``floor`` is measured
-    again, up to ``SPEEDUP_RETRIES`` more times with twice the depth each
-    time, and the best pass is returned.  The caller asserts the floor
-    itself; a real regression stays under it on every pass, while a single
-    slow host phase no longer decides the gate.  Both callables are warmed
-    once first.
-    """
-    baseline()
-    candidate()
-    best = None
-    for attempt in range(SPEEDUP_RETRIES + 1):
-        baseline_s, candidate_s = _interleaved_medians(
-            baseline, candidate, repeats * 2**attempt
-        )
-        if best is None or baseline_s / candidate_s > best[0] / best[1]:
-            best = (baseline_s, candidate_s)
-        if best[0] / best[1] >= floor:
-            break
-    return best
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -97,9 +49,3 @@ def once(benchmark):
         return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return runner
-
-
-@pytest.fixture(name="measure_speedup")
-def _measure_speedup_fixture():
-    """:func:`measure_speedup` for benchmark modules (conftest is not a package)."""
-    return measure_speedup

@@ -3,8 +3,9 @@
 Serves the same N-participant fleet two ways — N independent
 ``RealTimeInferenceLoop`` runs (one ``predict_proba(n=1)`` call per session
 per tick) versus one lock-step ``AsyncFleetScheduler`` (a single
-``predict_proba(n=N)`` call per ``tick()``) — and compares end-to-end throughput in labels/s.  Both sides pay
-the identical acquisition + preprocessing cost; the fleet amortises the
+``predict_proba(n=N)`` call per ``tick()``) — and compares end-to-end
+throughput in labels/s.  Both sides pay the identical acquisition +
+preprocessing cost; the fleet amortises the
 per-call classification overhead, which is the serving-side analogue of the
 short-block batching the paper's DAC line of work optimises for.
 """
@@ -26,8 +27,6 @@ from repro.signals.synthetic import ACTION_RIGHT, ParticipantProfile
 N_SESSIONS = 8
 DURATION_S = 2.0
 REPEATS = 1 if os.environ.get("REPRO_BENCH_FAST") else 3
-#: Extra sequential/fleet pairs measured while the fleet still trails.
-CONFIRM_PAIRS = 2
 
 
 def _config():
@@ -102,17 +101,12 @@ def test_fleet_serving_beats_sequential_loops(once):
     classifier = _classifier(config)
 
     def compare():
-        # Sequential and fleet runs alternate so a host slowdown hits both
-        # sides; while the fleet trails, up to CONFIRM_PAIRS more pairs are
-        # measured (a real regression trails on every pair).
-        sequential, results = [], []
-        for pair in range(REPEATS + CONFIRM_PAIRS):
-            if pair >= REPEATS and max(r[0] for r in results) > max(sequential):
-                break
-            sequential.append(_sequential_labels_per_s(classifier, config))
-            results.append(_fleet_labels_per_s(classifier, config))
+        sequential = max(
+            _sequential_labels_per_s(classifier, config) for _ in range(REPEATS)
+        )
+        results = [_fleet_labels_per_s(classifier, config) for _ in range(REPEATS)]
         fleet_lps, fleet = max(results, key=lambda r: r[0])
-        return max(sequential), fleet_lps, fleet
+        return sequential, fleet_lps, fleet
 
     sequential_lps, fleet_lps, fleet = once(compare)
     single = calibrate_batch_latency_s(

@@ -16,6 +16,7 @@ skips honestly on single-core runners, where overlap cannot exist.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def _batches(rng):
     }
 
 
-def test_process_sharding_overlaps_cohort_flushes(once, measure_speedup):
+def test_process_sharding_overlaps_cohort_flushes(once):
     cores = _usable_cores()
     if cores < 2:
         pytest.skip(
@@ -82,23 +83,27 @@ def test_process_sharding_overlaps_cohort_flushes(once, measure_speedup):
         executor.bind(_cohorts(), SYSTEM_CLOCK)
         batches = _batches(np.random.default_rng(0))
 
-        def serial_round():
+        def measure():
+            # Warm both workers (first-call allocations, pipe buffers).
             for cohort, prepared in batches.items():
                 executor.submit_flush(cohort, prepared).result(timeout=120)
+            t0 = time.perf_counter()
+            for _ in range(ROUNDS):
+                for cohort, prepared in batches.items():
+                    executor.submit_flush(cohort, prepared).result(timeout=120)
+            serial_s = time.perf_counter() - t0
+            t1 = time.perf_counter()
+            for _ in range(ROUNDS):
+                tickets = [
+                    executor.submit_flush(cohort, prepared)
+                    for cohort, prepared in batches.items()
+                ]
+                for ticket in tickets:
+                    ticket.result(timeout=120)
+            sharded_s = time.perf_counter() - t1
+            return serial_s, sharded_s
 
-        def sharded_round():
-            tickets = [
-                executor.submit_flush(cohort, prepared)
-                for cohort, prepared in batches.items()
-            ]
-            for ticket in tickets:
-                ticket.result(timeout=120)
-
-        # Per-round medians; the first calls warm both workers (first-call
-        # allocations, pipe buffers).
-        serial_s, sharded_s = once(
-            measure_speedup, serial_round, sharded_round, SPEEDUP_FLOOR, ROUNDS
-        )
+        serial_s, sharded_s = once(measure)
     finally:
         executor.shutdown()
         for key, value in saved.items():
@@ -107,16 +112,17 @@ def test_process_sharding_overlaps_cohort_flushes(once, measure_speedup):
             else:
                 os.environ[key] = value
 
+    flushes = ROUNDS * N_COHORTS
     speedup = serial_s / sharded_s
     print("\n" + "=" * 80)
     print(
         f"Sharded cohort flushes — {N_COHORTS} cohorts x LSTM-{HIDDEN}, "
-        f"batch {BATCH}, {ROUNDS} rounds per pass, {cores} cores"
+        f"batch {BATCH}, {ROUNDS} rounds, {cores} cores"
     )
-    print(f"serial (one flush at a time):   {serial_s * 1e3:9.2f} ms/round "
-          f"({serial_s / N_COHORTS * 1e3:6.2f} ms/flush)")
-    print(f"sharded (cohorts overlapped):   {sharded_s * 1e3:9.2f} ms/round "
-          f"({sharded_s / N_COHORTS * 1e3:6.2f} ms/flush)")
+    print(f"serial (one flush at a time):   {serial_s * 1e3:9.1f} ms "
+          f"({serial_s / flushes * 1e3:6.2f} ms/flush)")
+    print(f"sharded (cohorts overlapped):   {sharded_s * 1e3:9.1f} ms "
+          f"({sharded_s / flushes * 1e3:6.2f} ms/flush)")
     print(f"multi-cohort speedup:           {speedup:9.2f}x "
           f"(floor {SPEEDUP_FLOOR:.1f}x)")
     assert speedup >= SPEEDUP_FLOOR, (

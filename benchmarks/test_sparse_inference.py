@@ -55,25 +55,20 @@ def _report(label, dense_s, sparse_s):
     )
 
 
-def _bench_weight(measure_speedup, weight, dense, rows, floor=0.0):
-    """(dense_s, sparse_s) medians for one matmul operand.
-
-    ``floor`` is the gate the caller asserts on ``dense_s / sparse_s``; the
-    default 0.0 marks an informational row that is never re-measured.
-    """
+def _bench_weight(weight, dense, rows, repeats=REPEATS):
+    """(dense_s, sparse_s) medians for one matmul operand."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((rows, dense.shape[0])).astype(np.float32)
     out = np.empty((rows, dense.shape[1]), dtype=np.float32)
     gather = weight.gather_scratch(rows, np.float32)
-    return measure_speedup(
-        lambda: np.matmul(x, dense, out=out),
-        lambda: weight.matmul(x, out=out, gather=gather),
-        floor,
-        REPEATS,
+    dense_s = median_call_time_s(lambda: np.matmul(x, dense, out=out), repeats)
+    sparse_s = median_call_time_s(
+        lambda: weight.matmul(x, out=out, gather=gather), repeats
     )
+    return dense_s, sparse_s
 
 
-def test_ultra_sparse_matvec_beats_dense(measure_speedup):
+def test_ultra_sparse_matvec_beats_dense():
     """~99 % sparsity: the regime where gather-and-reduce wins everywhere.
 
     A (2048, 2048) float32 matrix streams 16 MiB through the dense matvec;
@@ -85,17 +80,17 @@ def test_ultra_sparse_matvec_beats_dense(measure_speedup):
     dense = rng.standard_normal((size, size)).astype(np.float32)
     dense[rng.random(dense.shape) < 0.99] = 0.0
     weight = ColumnSparseWeight.from_dense(dense)
-    floor = 1.2 if FAST else 1.5
-    dense_s, sparse_s = _bench_weight(measure_speedup, weight, dense, 1, floor)
+    dense_s, sparse_s = _bench_weight(weight, dense, rows=1)
     _report(f"matvec {size}x{size} @ 99%", dense_s, sparse_s)
     speedup = dense_s / sparse_s
+    floor = 1.2 if FAST else 1.5
     assert speedup >= floor, (
         f"ultra-sparse matvec only {speedup:.2f}x over dense "
         f"(regression floor {floor}x)"
     )
 
 
-def test_pruned_lstm512_sparse_plan_vs_dense_plan(measure_speedup):
+def test_pruned_lstm512_sparse_plan_vs_dense_plan():
     """The paper's 90 %-pruned LSTM at the selected geometry.
 
     The auto-calibrated plan must never lose to the dense plan (hard gate);
@@ -117,13 +112,10 @@ def test_pruned_lstm512_sparse_plan_vs_dense_plan(measure_speedup):
     dense_plan.append(SoftmaxKernel())
     window = np.random.default_rng(2).standard_normal((1, N_CHANNELS, WINDOW))
     prepared = pruned.prepare_array(window.astype(np.float32))
-    sparse_kernels = [k for k in auto_plan.describe() if "sparse" in k]
-    # The gate that applies below: the sparse-wins gate when calibration
-    # chose sparse kernels, the no-regression gate (1 / 1.25) otherwise.
-    floor = 1.0 if sparse_kernels else 0.8
-    dense_s, auto_s = measure_speedup(
-        lambda: dense_plan(prepared), lambda: auto_plan(prepared), floor, REPEATS
-    )
+    auto_plan(prepared)
+    dense_plan(prepared)
+    auto_s = median_call_time_s(lambda: auto_plan(prepared), REPEATS)
+    dense_s = median_call_time_s(lambda: dense_plan(prepared), REPEATS)
     _report(f"lstm-{hidden} @ 90% pruned (1 win)", dense_s, auto_s)
     print(
         f"{'':<34} effective params {report.effective_parameters} "
@@ -134,6 +126,7 @@ def test_pruned_lstm512_sparse_plan_vs_dense_plan(measure_speedup):
         f"auto-calibrated plan {auto_s * 1e3:.2f} ms lost to its dense "
         f"counterpart {dense_s * 1e3:.2f} ms — calibration is misfiring"
     )
+    sparse_kernels = [k for k in auto_plan.describe() if "sparse" in k]
     if not sparse_kernels:
         pytest.skip(
             "calibration kept the 90%-pruned plan dense: this host's BLAS "
@@ -148,7 +141,7 @@ def test_pruned_lstm512_sparse_plan_vs_dense_plan(measure_speedup):
     )
 
 
-def test_block_kernel_beats_elementwise_gather_at_90pct(measure_speedup):
+def test_block_kernel_beats_elementwise_gather_at_90pct():
     """Block (16, 1) panels vs the per-element ELL gather, same 90 % matrix.
 
     This is the always-on half of the block-sparsity claim: whichever way the
@@ -175,22 +168,22 @@ def test_block_kernel_beats_elementwise_gather_at_90pct(measure_speedup):
     panels, prod = block.matmul_scratch(1, np.float32)
 
     dense_s = median_call_time_s(lambda: np.matmul(x, dense, out=out), REPEATS)
-    floor = 1.2
-    ell_s, block_s = measure_speedup(
-        lambda: ell.matmul(x, out=out, gather=gather),
-        lambda: block.matmul(x, out=out, panels=panels, prod=prod),
-        floor,
-        REPEATS,
+    ell_s = median_call_time_s(
+        lambda: ell.matmul(x, out=out, gather=gather), REPEATS
+    )
+    block_s = median_call_time_s(
+        lambda: block.matmul(x, out=out, panels=panels, prod=prod), REPEATS
     )
     _report(f"w_hh {shape[0]}x{shape[1]} @ 90% block16x1", dense_s, block_s)
     _report(f"w_hh {shape[0]}x{shape[1]} @ 90% ell", dense_s, ell_s)
+    floor = 1.2
     assert ell_s / block_s >= floor, (
         f"block16x1 gather only {ell_s / block_s:.2f}x over the elementwise "
         f"gather at 90% structured sparsity (regression floor {floor}x)"
     )
 
 
-def test_fused_gate_slab_beats_split_block_kernel(measure_speedup):
+def test_fused_gate_slab_beats_split_block_kernel():
     """The fused-gate slab vs the split row-tile kernel it replaced.
 
     The previous lowering ran the 90 %-block-pruned recurrent projection as
@@ -223,15 +216,17 @@ def test_fused_gate_slab_beats_split_block_kernel(measure_speedup):
     fused_scratch = fused.matmul_scratch(1, np.float32)
 
     dense_s = median_call_time_s(lambda: np.matmul(x, dense, out=out), REPEATS)
-    floor = 1.5
-    split_s, fused_s = measure_speedup(
+    split_s = median_call_time_s(
         lambda: split.matmul(x, out=out, panels=split_scratch[0], prod=split_scratch[1]),
+        REPEATS,
+    )
+    fused_s = median_call_time_s(
         lambda: fused.matmul(x, out=out, panels=fused_scratch[0], prod=fused_scratch[1]),
-        floor,
         REPEATS,
     )
     _report(f"w_hh {shape[0]}x{shape[1]} @ 90% split16x1", dense_s, split_s)
     _report(f"w_hh {shape[0]}x{shape[1]} @ 90% fused8x8g4", dense_s, fused_s)
+    floor = 1.5
     assert split_s / fused_s >= floor, (
         f"fused-gate slab only {split_s / fused_s:.2f}x over the split "
         f"(16, 1) kernel at 90% gate-coupled sparsity (regression floor "
@@ -239,7 +234,7 @@ def test_fused_gate_slab_beats_split_block_kernel(measure_speedup):
     )
 
 
-def test_block_pruned_lstm_plan_beats_dense(measure_speedup):
+def test_block_pruned_lstm_plan_beats_dense():
     """The 90 % *block*-pruned LSTM plan vs its dense plan (§III-E1 regime).
 
     Gate-coupled menu pruning plus the fused-gate slab kernel turned this
@@ -284,9 +279,8 @@ def test_block_pruned_lstm_plan_beats_dense(measure_speedup):
     np.testing.assert_allclose(
         block_plan(prepared), dense_plan(prepared), atol=1e-5
     )
-    dense_s, block_s = measure_speedup(
-        lambda: dense_plan(prepared), lambda: block_plan(prepared), 1.2, REPEATS
-    )
+    block_s = median_call_time_s(lambda: block_plan(prepared), REPEATS)
+    dense_s = median_call_time_s(lambda: dense_plan(prepared), REPEATS)
     _report(f"lstm-{hidden} @ 90% block-pruned", dense_s, block_s)
     print(
         f"{'':<34} effective params {report.effective_parameters} "
@@ -299,7 +293,7 @@ def test_block_pruned_lstm_plan_beats_dense(measure_speedup):
     )
 
 
-def test_recurrent_projection_kernel_at_paper_levels(measure_speedup):
+def test_recurrent_projection_kernel_at_paper_levels():
     """Kernel-level table for the LSTM recurrent matvec across sparsities.
 
     Informational rows for 70/90 %, gated only at 99 %: the decision between
@@ -317,8 +311,7 @@ def test_recurrent_projection_kernel_at_paper_levels(measure_speedup):
         dense = rng.standard_normal(shape).astype(np.float32)
         dense[rng.random(shape) < sparsity] = 0.0
         weight = ColumnSparseWeight.from_dense(dense)
-        floor = 1.0 if sparsity == 0.99 else 0.0
-        dense_s, sparse_s = _bench_weight(measure_speedup, weight, dense, 1, floor)
+        dense_s, sparse_s = _bench_weight(weight, dense, rows=1)
         _report(f"w_hh {shape[0]}x{shape[1]} @ {sparsity:.0%}", dense_s, sparse_s)
         if sparsity == 0.99:
             gated.append(dense_s / sparse_s)
