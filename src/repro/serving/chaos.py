@@ -12,13 +12,14 @@ little about tomorrow.  This module makes failure *scripted*:
   (``inject_kill`` / ``inject_pipe_close`` / ``inject_stall``) — the real
   :class:`~repro.serving.executors.ProcessShardExecutor` or the simulated
   one below.
-- :class:`SimulatedShardExecutor` — a process-shard stand-in that runs
-  entirely on the virtual clock: same supervision policy (it embeds the
-  same :class:`~repro.serving.executors.ShardSupervisor`), same error
-  types, same hot-swap/versioning contract, but deaths, backoffs and
-  stalls are exact virtual-time events.  This is what lets a
-  10k-virtual-second, 32-session chaos soak with a dozen kills run in
-  well under a second of real time — and deterministically, so the
+- :class:`SimulatedShardExecutor` — the real
+  :class:`~repro.serving.executors.ProcessShardExecutor` with each worker
+  process and its pipe replaced by an in-process lane that runs the same
+  worker message handler on the virtual clock.  Supervision, respawn,
+  tickets, hot-swap and pipe-error handling are the production code;
+  deaths, backoffs and stalls become exact virtual-time events.  This is
+  what lets a 10k-virtual-second, 32-session chaos soak with a dozen kills
+  run in well under a second of real time — and deterministically, so the
   recovered run can be compared row-for-row against an uninjected one.
 - :class:`ChaosLoad` — :class:`tests.helpers.SimulatedLoad`-compatible
   driver that interleaves the injector with traffic, firing each fault at
@@ -34,23 +35,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.models.base import EEGClassifier
-from repro.serving.batcher import ExecutionResult, PreparedBatch, execute_windows
 from repro.serving.executors import (
-    WORKER_RUNNING,
-    CohortQuarantinedError,
-    ExecutorClosedError,
-    ShardSupervisor,
+    ProcessShardExecutor,
     SupervisorConfig,
-    WorkerDiedError,
-    WorkerRespawnPending,
-    _BoundMixin,
+    _Shard,
+    _ShardWorker,
 )
 from repro.serving.telemetry import FleetTelemetry
 from repro.utils.timing import Clock
@@ -155,245 +150,121 @@ class FaultInjector:
             self._executor.inject_stall(injection.cohort, injection.duration_s)
 
 
-class _SimulatedWorker:
-    """State of one simulated cohort lane."""
+class _InProcessLane:
+    """One cohort's shard worker run in-process: its process *and* its pipe.
 
-    def __init__(self, plan_version: int = 1) -> None:
-        self.alive = True
-        self.plan_version = plan_version
-        self.pending_stall_s = 0.0
-        self.die_mid_flush = False
-        self.fail_next_respawn = False
-
-
-class _SimulatedTicket:
-    """Lazy flush result: faults scripted for this flush land at harvest."""
-
-    def __init__(
-        self,
-        executor: "SimulatedShardExecutor",
-        cohort: str,
-        worker: _SimulatedWorker,
-        prepared: PreparedBatch,
-    ) -> None:
-        self._executor = executor
-        self._cohort = cohort
-        self._worker = worker
-        self._prepared = prepared
-        self._execution: Optional[ExecutionResult] = None
-
-    def done(self) -> bool:
-        return True  # resolving is instantaneous (virtual time only moves here)
-
-    def result(self, timeout: Optional[float] = None) -> ExecutionResult:
-        if self._execution is not None:
-            return self._execution
-        worker = self._worker
-        if worker.die_mid_flush:
-            worker.die_mid_flush = False
-            worker.alive = False
-            self._executor.supervisor.record_death(self._cohort)
-            raise WorkerDiedError(
-                self._cohort, pending=(self,), detail="simulated mid-flush kill"
-            )
-        clock = self._executor._clock
-        if worker.pending_stall_s > 0.0:
-            # A stalled worker holds its reply; virtual clocks advance, the
-            # system clock (never used in chaos soaks) would sleep.
-            stall, worker.pending_stall_s = worker.pending_stall_s, 0.0
-            advance = getattr(clock, "advance", None)
-            if advance is not None:
-                advance(stall)
-            else:
-                clock.sleep(stall)
-        self._execution = execute_windows(
-            self._executor._classifier_for(self._cohort),
-            self._prepared.windows,
-            self._prepared.chunk_size,
-            clock,
-            worker=f"sim:{self._cohort}",
-            plan_version=worker.plan_version,
-        )
-        return self._execution
-
-
-class SimulatedShardExecutor(_BoundMixin):
-    """Process-shard semantics on the virtual clock, faults included.
-
-    Implements the full supervised-executor contract of
-    :class:`~repro.serving.executors.ProcessShardExecutor` — the same
-    :class:`ShardSupervisor` policy object, the same typed errors
-    (:class:`WorkerDiedError` / :class:`WorkerRespawnPending` /
-    :class:`CohortQuarantinedError`), the same supervision, hot-swap and
-    chaos surfaces — but lanes are in-process state machines instead of
-    OS processes, so a scripted 10k-virtual-second soak is deterministic
-    and instant.  Classification runs the *actual* cohort classifiers
-    (any ``EEGClassifier``, no transport requirement), which is what makes
-    the recovered run exactly comparable to an uninjected one.
+    Serves as both ``process`` and ``conn`` of a
+    :class:`~repro.serving.executors._Shard`, so the process executor's
+    supervision, tickets, swap acks and pipe-error handling run unchanged.
+    ``send`` queues a message; ``recv`` hands the next queued message to the
+    :class:`~repro.serving.executors._ShardWorker` and returns its reply,
+    so a flush executes — and a stall advances the virtual clock — when the
+    parent harvests.  ``poll`` only reports.  A dead lane polls True and
+    ``recv`` raises ``EOFError``; a closed one raises ``OSError``, like a
+    real pipe end.
     """
 
-    serializes_flushes = False
-    remote_execution = True
+    def __init__(self, worker: _ShardWorker, version: int, image: Any) -> None:
+        self._worker = worker
+        self._inbox: Deque[Any] = deque([("start", version, image)])
+        self._closed = False
+        self.exitcode: Optional[int] = None
+
+    # process side ---------------------------------------------------------
+    def is_alive(self) -> bool:
+        return self.exitcode is None
+
+    def kill(self) -> None:
+        if self.exitcode is None:
+            self.exitcode = -9
+
+    terminate = kill
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        pass
+
+    # pipe side ------------------------------------------------------------
+    def _check_open(self) -> None:
+        if self._closed:
+            raise OSError("handle is closed")
+
+    def close(self) -> None:
+        self._closed = True
+
+    def send(self, message: Any) -> None:
+        self._check_open()
+        if not self.is_alive():
+            raise BrokenPipeError("in-process shard lane has exited")
+        self._inbox.append(message)
+
+    def poll(self, timeout: Optional[float] = 0.0) -> bool:
+        self._check_open()
+        return bool(self._inbox) or not self.is_alive()
+
+    def recv(self) -> Any:
+        self._check_open()
+        if self.is_alive() and self._inbox:
+            reply = self._worker.handle(self._inbox.popleft())
+            if reply is not None:
+                return reply
+            self.exitcode = 1  # crashed without answering
+        raise EOFError("in-process shard lane has exited")
+
+
+class SimulatedShardExecutor(ProcessShardExecutor):
+    """The process-shard executor with in-process worker lanes.
+
+    Everything but the worker process and its pipe is
+    :class:`~repro.serving.executors.ProcessShardExecutor` itself — the
+    same supervisor, respawn, tickets, hot-swap and typed errors — so a
+    chaos soak exercises the production supervision code.  Each lane runs
+    a :class:`~repro.serving.executors._ShardWorker` on the injected clock:
+    deaths, backoffs and stalls are exact virtual-time events, and a
+    scripted 10k-virtual-second soak is deterministic and fast.  Lanes
+    serve the *actual* cohort classifiers (any ``EEGClassifier``, no
+    transport requirement), which is what makes the recovered run exactly
+    comparable to an uninjected one.
+    """
 
     def __init__(
         self, supervisor_config: Optional[SupervisorConfig] = None
     ) -> None:
-        super().__init__()
-        self.supervisor_config = supervisor_config or SupervisorConfig()
-        self.supervisor = ShardSupervisor(self.supervisor_config)
-        self._workers: Dict[str, _SimulatedWorker] = {}
-        self._versions: Dict[str, int] = {}
-        self.closed = False
-        #: Lifetime counts of injected faults actually absorbed, per kind.
+        super().__init__(supervisor_config=supervisor_config)
+        #: Lifetime counts of injected faults, per kind.
         self.fault_counts: Dict[str, int] = {KILL: 0, PIPE_CLOSE: 0, STALL: 0}
+        self._doomed_spawns: Set[str] = set()
 
-    def bind(self, classifiers: Mapping[str, EEGClassifier], clock: Clock) -> None:
-        if self.closed:
-            raise ExecutorClosedError(
-                "executor was shut down; build a fresh one instead of rebinding"
-            )
-        self._check_bind(classifiers)
-        self._classifiers = dict(classifiers)
-        self._clock = clock
-        self.supervisor = ShardSupervisor(self.supervisor_config, clock)
-        self._workers = {cohort: _SimulatedWorker() for cohort in classifiers}
-        self._versions = {cohort: 1 for cohort in classifiers}
-        for cohort in classifiers:
-            self.supervisor.watch(cohort)
-
-    # ------------------------------------------------------------------ #
-    # supervision surface (mirrors ProcessShardExecutor)
-    # ------------------------------------------------------------------ #
-    def worker_state(self, cohort: str) -> str:
-        return self.supervisor.state(cohort)
-
-    def fleet_states(self) -> Dict[str, str]:
-        return self.supervisor.states()
-
-    def respawn_due_s(self, cohort: str) -> Optional[float]:
-        return self.supervisor.retry_at_s(cohort)
-
-    def restart_count(self, cohort: str) -> int:
-        return self.supervisor.restart_count(cohort)
-
-    def plan_version(self, cohort: str) -> int:
-        return self._versions.get(cohort, 0)
-
-    def acked_plan_version(self, cohort: str) -> int:
-        worker = self._workers.get(cohort)
-        return worker.plan_version if worker is not None else 0
-
-    # ------------------------------------------------------------------ #
-    # flush path
-    # ------------------------------------------------------------------ #
-    def _respawn(self, cohort: str) -> None:
-        worker = self._workers[cohort]
-        if worker.fail_next_respawn:
-            worker.fail_next_respawn = False
-            state = self.supervisor.record_death(cohort)
-            if state == "quarantined":
-                raise CohortQuarantinedError(
-                    cohort,
-                    deaths=self.supervisor.deaths_in_window(cohort),
-                    window_s=self.supervisor_config.restart_window_s,
-                )
-            raise WorkerDiedError(
-                cohort, detail="simulated respawn/start failure"
-            )
-        worker.alive = True
-        worker.die_mid_flush = False
-        worker.pending_stall_s = 0.0
-        worker.plan_version = self._versions[cohort]
-        self.supervisor.record_respawn_success(cohort)
-
-    def submit_flush(self, cohort: str, prepared: PreparedBatch) -> _SimulatedTicket:
-        if self.closed:
-            raise ExecutorClosedError(
-                f"cannot flush cohort {cohort!r}: executor was shut down"
-            )
-        self._classifier_for(cohort)
-        state = self.supervisor.state(cohort)
-        if state == "quarantined":
-            raise CohortQuarantinedError(
-                cohort,
-                deaths=self.supervisor.deaths_in_window(cohort),
-                window_s=self.supervisor_config.restart_window_s,
-            )
-        if state == "respawning":
-            retry_at = self.supervisor.retry_at_s(cohort)
-            assert retry_at is not None
-            if self._clock.now() < retry_at:
-                raise WorkerRespawnPending(cohort, retry_at)
-            self._respawn(cohort)
-        worker = self._workers[cohort]
-        if not worker.alive:
-            # Idle death, discovered at submit — exactly when the real
-            # executor notices an exited process.
-            self.supervisor.record_death(cohort)
-            raise WorkerDiedError(cohort, detail="simulated worker dead")
-        return _SimulatedTicket(self, cohort, worker, prepared)
-
-    # ------------------------------------------------------------------ #
-    # plan hot-swap
-    # ------------------------------------------------------------------ #
-    def swap_plan(self, cohort: str, payload: Any) -> int:
-        """Swap a cohort's plan; accepts transport bytes or a classifier.
-
-        Mirrors the real executor's contract: the new plan becomes both the
-        serving plan (flipped between flushes — the scheduler harvests any
-        in-flight flush before swapping) and the respawn image, and the
-        bumped version is echoed on every subsequent flush.
-        """
-        if self.closed:
-            raise ExecutorClosedError(
-                f"cannot swap cohort {cohort!r}: executor was shut down"
-            )
-        self._classifier_for(cohort)
-        if isinstance(payload, (bytes, bytearray, memoryview)):
+    def _image_for(self, cohort: str, plan: Any) -> Any:
+        if isinstance(plan, (bytes, bytearray, memoryview)):
             from repro.models.compiled import CompiledClassifier
 
-            classifier: EEGClassifier = CompiledClassifier.from_payload(
-                bytes(payload)
-            )
-        else:
-            classifier = payload
-        version = self._versions[cohort] + 1
-        self._versions[cohort] = version
-        assert self._classifiers is not None
-        self._classifiers[cohort] = classifier
-        worker = self._workers[cohort]
-        if worker.alive and self.supervisor.state(cohort) == WORKER_RUNNING:
-            worker.plan_version = version
-        return version
+            return CompiledClassifier.from_payload(bytes(plan))
+        return plan
 
-    # ------------------------------------------------------------------ #
-    # chaos surface
-    # ------------------------------------------------------------------ #
+    def _spawn_process(self, cohort: str) -> _Shard:
+        version = self._versions[cohort]
+        worker = _ShardWorker(lambda image: image, self._clock, f"sim:{cohort}")
+        lane = _InProcessLane(worker, version, self._images[cohort])
+        if cohort in self._doomed_spawns:
+            self._doomed_spawns.discard(cohort)
+            lane.kill()  # dies before its ready handshake
+        return _Shard(cohort, lane, lane, plan_version=version)
+
     def inject_kill(self, cohort: str, phase: str = "idle") -> None:
-        worker = self._workers[cohort]
-        if phase in ("respawn", "bind"):
-            worker.fail_next_respawn = True
-        elif phase == "mid-flush":
-            worker.die_mid_flush = True
-        else:
-            worker.alive = False
+        """Kill a lane; ``respawn``/``bind`` fail the next spawn's handshake."""
         self.fault_counts[KILL] += 1
+        if phase in ("respawn", "bind"):
+            self._doomed_spawns.add(cohort)
+        else:
+            super().inject_kill(cohort, phase)
 
     def inject_pipe_close(self, cohort: str) -> None:
-        # Transport loss is indistinguishable from an idle death up here:
-        # the lane stops answering and the next use discovers it.
-        self._workers[cohort].alive = False
         self.fault_counts[PIPE_CLOSE] += 1
+        super().inject_pipe_close(cohort)
 
     def inject_stall(self, cohort: str, duration_s: float) -> None:
-        self._workers[cohort].pending_stall_s += float(duration_s)
         self.fault_counts[STALL] += 1
-
-    def shutdown(self) -> None:
-        self.closed = True
-        self._workers = {}
-        self._versions = {}
-        self._classifiers = None
+        super().inject_stall(cohort, duration_s)
 
 
 class ChaosLoad:

@@ -20,6 +20,11 @@ with decides *where* the classification runs.  Three backends ship:
   stacked windows and gets probabilities back.  Workers time their own
   service with their local monotonic clock (an injected virtual clock
   cannot cross a process boundary — see the README's clock caveats).
+  All worker-side message handling lives in one :class:`_ShardWorker`; the
+  process loop is recv → handle → send.  Two seams, ``_image_for`` and
+  ``_spawn_process``, let :class:`repro.serving.chaos.SimulatedShardExecutor`
+  swap each process and its pipe for an in-process lane and inherit
+  everything else.
 
 The process backend is *supervised*: a :class:`ShardSupervisor` tracks each
 cohort worker's lifecycle (``running`` → ``respawning`` → ``quarantined``).
@@ -42,9 +47,7 @@ its own thread, so sessions and telemetry are never touched concurrently.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import random
-import signal
 import threading
 import time
 from collections import deque
@@ -52,6 +55,8 @@ from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from dataclasses import dataclass
 from typing import (
+    Any,
+    Callable,
     Deque,
     Dict,
     Mapping,
@@ -259,8 +264,7 @@ class ShardSupervisor:
     touches processes itself — executors call :meth:`record_death` /
     :meth:`record_respawn_success` and ask :meth:`state` /
     :meth:`retry_at_s` before acting — which is what makes the policy
-    exactly testable on a virtual clock and shareable between the real
-    process backend and the simulated chaos backend.
+    exactly testable on a virtual clock.
     """
 
     def __init__(
@@ -496,168 +500,172 @@ class ThreadPoolFlushExecutor(_BoundMixin):
 # ---------------------------------------------------------------------- #
 # Process sharding
 # ---------------------------------------------------------------------- #
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _build_replica(payload: bytes) -> EEGClassifier:
+    """Process workers' replica builder: decode the cohort's transport payload."""
+    from repro.models.compiled import CompiledClassifier
+
+    replica = CompiledClassifier.from_payload(payload)
+    # The worker owns this replica outright: let its plan pre-bind
+    # zero-allocation arenas for the cohort's dominant flush sizes.
+    replica.enable_auto_specialization()
+    return replica
+
+
+class _ShardWorker:
+    """Worker side of one shard lane: a plan replica and its message handler.
+
+    :meth:`handle` maps one tagged pipe message to its reply:
+
+    - ``("start", version, image)`` → ``("ready", worker_id)`` or
+      ``("error", message)`` — the first message, built from the spawn
+      arguments;
+    - ``("flush", windows, chunk_size)`` → ``("ok", execution)`` (an
+      :class:`~repro.serving.batcher.ExecutionResult` stamped with the
+      plan version that served it) or ``("error", message)``;
+    - ``("swap", version, image)`` → the worker builds the *new* replica
+      fully (double-buffered — the old one keeps serving if the build
+      fails) and flips to it, replying ``("swapped", version)`` or
+      ``("swap-error", version, message)``;
+    - ``("stall", duration_s)`` → sleeps on the worker's clock (fault
+      injection for slow-worker scenarios), replying ``("stalled",
+      duration_s)``;
+    - ``("crash", windows, chunk_size)`` → ``None``: a flush the worker
+      exits on without answering, so it dies in flight (fault injection).
+
+    Messages are handled one at a time, so a flip between flushes *is*
+    atomic: no flush can ever observe a half-updated plan.  ``build`` turns
+    an image into a replica and ``clock`` times service and stalls — the
+    worker's own monotonic clock in a process, the executor's injected
+    clock in an in-process lane.
+    """
+
+    def __init__(
+        self, build: Callable[[Any], EEGClassifier], clock: Clock, worker_id: str
+    ) -> None:
+        self._build = build
+        self._clock = clock
+        self.worker_id = worker_id
+        self.replica: Optional[EEGClassifier] = None
+        self.version = 0
+
+    def handle(self, message) -> Optional[tuple]:
+        tag = message[0]
+        if tag == "flush":
+            _, windows, chunk_size = message
+            try:
+                execution = execute_windows(
+                    self.replica,
+                    windows,
+                    chunk_size,
+                    self._clock,
+                    worker=self.worker_id,
+                    plan_version=self.version,
+                )
+            except Exception as exc:  # noqa: BLE001 — report, keep serving
+                return ("error", _describe(exc))
+            return ("ok", execution)
+        if tag in ("start", "swap"):
+            _, version, image = message
+            try:
+                replica = self._build(image)
+            except Exception as exc:  # noqa: BLE001 — the old plan keeps serving
+                if tag == "start":
+                    return ("error", _describe(exc))
+                return ("swap-error", version, _describe(exc))
+            self.replica, self.version = replica, int(version)
+            if tag == "start":
+                return ("ready", self.worker_id)
+            return ("swapped", self.version)
+        if tag == "stall":
+            self._clock.sleep(float(message[1]))
+            return ("stalled", float(message[1]))
+        if tag == "crash":
+            return None
+        return ("error", f"unknown message tag {tag!r}")
+
+
 def _shard_worker_main(
     conn, cohort: str, payload: bytes, plan_version: int = 1
 ) -> None:
-    """Entry point of one shard worker: pin a plan replica, serve flushes.
+    """Entry point of one shard worker process: recv → handle → send.
 
-    Runs in a child process.  Reconstructs the cohort's compiled classifier
-    from its transport payload once, acknowledges readiness, then answers
-    tagged pipe messages until the ``None`` sentinel arrives:
-
-    - ``("flush", windows, chunk_size)`` → ``("ok", probabilities,
-      batch_sizes, service_s, worker, specialized, plan_version)`` or
-      ``("error", message)``;
-    - ``("swap", version, payload)`` → the worker builds the *new* replica
-      fully (double-buffered — the old one keeps serving if the build
-      fails) and flips to it atomically between flushes, acking
-      ``("swapped", version)`` or ``("swap-error", version, message)``;
-    - ``("stall", duration_s)`` → sleeps (fault injection for slow-worker
-      scenarios), acking ``("stalled", duration_s)``.
-
-    The loop is single-threaded, so a flip between flushes *is* atomic: no
-    flush can ever observe a half-updated plan.  Service time is measured
-    with the worker's own monotonic clock.
+    Builds the cohort's plan replica from its transport payload, reports
+    ready, then answers pipe messages (see :class:`_ShardWorker`) until the
+    ``None`` sentinel arrives.  Service time is measured with the worker's
+    own monotonic clock.  A parent that closes its end or goes away ends
+    the loop quietly.
     """
+    worker = _ShardWorker(_build_replica, SYSTEM_CLOCK, f"shard:{cohort}")
+    message = ("start", plan_version, payload)
     try:
-        from repro.models.compiled import CompiledClassifier
-
-        replica = CompiledClassifier.from_payload(payload)
-        # The worker owns this replica outright: let its plan pre-bind
-        # zero-allocation arenas for the cohort's dominant flush sizes.
-        replica.enable_auto_specialization()
-    except Exception as exc:  # noqa: BLE001 — report, do not crash silently
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        conn.close()
-        return
-    worker_id = f"shard:{cohort}"
-    version = int(plan_version)
-    conn.send(("ready", worker_id))
-    while True:
-        try:
+        while message is not None:
+            reply = worker.handle(message)
+            if reply is None:  # injected crash: exit without answering
+                break
+            conn.send(reply)
+            if worker.replica is None:  # the start failed; nothing to serve
+                break
             message = conn.recv()
-        except EOFError:  # parent went away
-            break
-        if message is None:
-            break
-        tag = message[0]
-        if tag == "swap":
-            _, new_version, new_payload = message
-            try:
-                fresh = CompiledClassifier.from_payload(new_payload)
-                fresh.enable_auto_specialization()
-            except Exception as exc:  # noqa: BLE001 — keep serving the old plan
-                conn.send(
-                    ("swap-error", new_version, f"{type(exc).__name__}: {exc}")
-                )
-                continue
-            replica = fresh
-            version = int(new_version)
-            conn.send(("swapped", version))
-            continue
-        if tag == "stall":
-            time.sleep(float(message[1]))
-            conn.send(("stalled", float(message[1])))
-            continue
-        if tag != "flush":
-            conn.send(("error", f"unknown message tag {tag!r}"))
-            continue
-        _, windows, chunk_size = message
-        try:
-            execution = execute_windows(
-                replica, windows, chunk_size, worker=worker_id
-            )
-            conn.send(
-                (
-                    "ok",
-                    execution.probabilities,
-                    execution.batch_sizes,
-                    execution.service_s,
-                    execution.worker,
-                    execution.specialized,
-                    version,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+    except (EOFError, OSError):
+        pass
     conn.close()
 
 
 class _ShardTicket:
     """Pending response from one shard worker's pipe."""
 
-    def __init__(
-        self,
-        shard: "_Shard",
-        timeout_s: Optional[float],
-        executor: Optional["ProcessShardExecutor"] = None,
-    ) -> None:
+    def __init__(self, shard: "_Shard", executor: "ProcessShardExecutor") -> None:
         self._shard = shard
-        self._timeout_s = timeout_s
         self._executor = executor
         self._execution: Optional[ExecutionResult] = None
 
     def _died(self, detail: str) -> WorkerDiedError:
-        self._shard.busy = False
-        if self._executor is not None:
-            self._executor._note_worker_death(self._shard)
+        self._executor._note_worker_death(self._shard)
         return WorkerDiedError(self._shard.cohort, pending=(self,), detail=detail)
 
     def done(self) -> bool:
-        return self._execution is not None or self._shard.conn.poll(0)
+        if self._execution is not None:
+            return True
+        try:
+            return self._shard.conn.poll(0)
+        except (EOFError, OSError):
+            return True  # pipe lost: result() raises WorkerDiedError at once
 
     def result(self, timeout: Optional[float] = None) -> ExecutionResult:
         if self._execution is not None:
             return self._execution
-        timeout = self._timeout_s if timeout is None else timeout
+        shard = self._shard
+        if timeout is None:
+            timeout = self._executor.request_timeout_s
         while True:
             try:
-                answered = self._shard.conn.poll(timeout)
-            except (EOFError, BrokenPipeError, OSError):
+                message = shard.conn.recv() if shard.conn.poll(timeout) else None
+            except (EOFError, OSError):
                 raise self._died("pipe closed") from None
-            if not answered:
-                if not self._shard.process.is_alive():
+            if message is None:
+                if not shard.process.is_alive():
                     # The worker died mid-flush: the request will never be
                     # answered, so waiting longer only wedges the cohort.
-                    raise self._died(
-                        f"exitcode {self._shard.process.exitcode}"
-                    )
+                    raise self._died(f"exitcode {shard.process.exitcode}")
                 raise TimeoutError(
-                    f"shard worker {self._shard.cohort!r} did not answer within "
+                    f"shard worker {shard.cohort!r} did not answer within "
                     f"{timeout}s"
                 )
-            try:
-                message = self._shard.conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
-                raise self._died("pipe closed") from None
             # Control acks (swap/stall issued while this flush was in
             # flight) arrive in pipe order ahead of or behind the flush
             # reply; fold them into parent-side state and keep reading.
-            if self._shard.absorb_control(message):
-                continue
-            break
-        self._shard.busy = False
+            if not shard.absorb_control(message):
+                break
+        shard.busy = False
         if message[0] == "error":
             raise FlushExecutionError(
-                f"shard worker {self._shard.cohort!r} failed: {message[1]}"
+                f"shard worker {shard.cohort!r} failed: {message[1]}"
             )
-        (
-            _,
-            probabilities,
-            batch_sizes,
-            service_s,
-            worker,
-            specialized,
-            plan_version,
-        ) = message
-        self._execution = ExecutionResult(
-            probabilities=probabilities,
-            batch_sizes=list(batch_sizes),
-            service_s=float(service_s),
-            worker=str(worker),
-            specialized=bool(specialized),
-            plan_version=int(plan_version),
-        )
+        self._execution = message[1]
         return self._execution
 
 
@@ -678,6 +686,8 @@ class _Shard:
         self.pending_swap: Optional[int] = None
         #: Most recent worker-side swap failure (the old plan kept serving).
         self.swap_error: Optional[str] = None
+        #: Set by a mid-flush kill: the worker dies on its next flush.
+        self.crash_armed = False
 
     def absorb_control(self, message) -> bool:
         """Fold a control ack into parent state; True if it was one."""
@@ -751,25 +761,33 @@ class ProcessShardExecutor(_BoundMixin):
         self.supervisor_config = supervisor_config or SupervisorConfig()
         self.supervisor = ShardSupervisor(self.supervisor_config)
         self._shards: Dict[str, _Shard] = {}
-        self._payloads: Dict[str, bytes] = {}
+        #: Per-cohort image a (re)spawned worker builds its replica from.
+        self._images: Dict[str, Any] = {}
         self._versions: Dict[str, int] = {}
         self.closed = False
 
-    @staticmethod
-    def _payload_for(cohort: str, classifier: EEGClassifier) -> bytes:
+    def _image_for(self, cohort: str, plan: Any) -> Any:
+        """What a cohort's worker builds its replica from: payload bytes.
+
+        ``plan`` is a classifier (at bind, or handed to :meth:`swap_plan`)
+        or transport bytes already.  Worker processes cannot share objects,
+        so classifiers are lowered to their compiled plan's payload.
+        """
         from repro.models.compiled import CompiledClassifier
 
+        if isinstance(plan, (bytes, bytearray, memoryview)):
+            return bytes(plan)
         compiled: Optional[CompiledClassifier]
-        if isinstance(classifier, CompiledClassifier):
-            compiled = classifier
+        if isinstance(plan, CompiledClassifier):
+            compiled = plan
         else:
-            ensure = getattr(classifier, "ensure_compiled", None)
+            ensure = getattr(plan, "ensure_compiled", None)
             compiled = ensure() if ensure is not None else None
         if compiled is None:
             raise ValueError(
                 f"cohort {cohort!r}: process sharding needs a compiled "
                 "inference plan (a CompiledClassifier or a neural classifier "
-                f"with a compilable network); got {type(classifier).__name__}"
+                f"with a compilable network); got {type(plan).__name__}"
             )
         return compiled.to_payload()
 
@@ -779,22 +797,22 @@ class ProcessShardExecutor(_BoundMixin):
                 "executor was shut down; build a fresh one instead of rebinding"
             )
         self._check_bind(classifiers)
-        payloads = {
-            cohort: self._payload_for(cohort, classifier)
+        images = {
+            cohort: self._image_for(cohort, classifier)
             for cohort, classifier in classifiers.items()
         }
         self._classifiers = dict(classifiers)
         self._clock = clock  # supervisor timing; worker service uses its own
         self.supervisor = ShardSupervisor(self.supervisor_config, clock)
-        self._payloads = payloads
-        self._versions = {cohort: 1 for cohort in payloads}
+        self._images = images
+        self._versions = {cohort: 1 for cohort in images}
         try:
-            for cohort in payloads:
+            for cohort in images:
                 self._shards[cohort] = self._spawn_process(cohort)
             deadline = time.monotonic() + self.start_timeout_s
             for shard in self._shards.values():
                 self._await_ready(shard, deadline)
-            for cohort in payloads:
+            for cohort in images:
                 self.supervisor.watch(cohort)
         except Exception:
             self.shutdown()
@@ -808,7 +826,7 @@ class ProcessShardExecutor(_BoundMixin):
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, cohort, self._payloads[cohort], version),
+            args=(child_conn, cohort, self._images[cohort], version),
             name=f"shard-{cohort}",
             daemon=True,
         )
@@ -818,12 +836,17 @@ class ProcessShardExecutor(_BoundMixin):
 
     def _await_ready(self, shard: _Shard, deadline: float) -> None:
         remaining = max(0.0, deadline - time.monotonic())
-        if not shard.conn.poll(remaining):
+        try:
+            if not shard.conn.poll(remaining):
+                raise FlushExecutionError(
+                    f"shard worker {shard.cohort!r} did not start within "
+                    f"{self.start_timeout_s}s"
+                )
+            message = shard.conn.recv()
+        except (EOFError, OSError):
             raise FlushExecutionError(
-                f"shard worker {shard.cohort!r} did not start within "
-                f"{self.start_timeout_s}s"
-            )
-        message = shard.conn.recv()
+                f"shard worker {shard.cohort!r} died before reporting ready"
+            ) from None
         if message[0] != "ready":
             raise FlushExecutionError(
                 f"shard worker {shard.cohort!r} failed to build its "
@@ -850,10 +873,11 @@ class ProcessShardExecutor(_BoundMixin):
         old = self._shards.get(cohort)
         if old is not None:
             self._reap(old)
+        shard = self._spawn_process(cohort)
         try:
-            shard = self._spawn_process(cohort)
             self._await_ready(shard, time.monotonic() + self.start_timeout_s)
         except FlushExecutionError as exc:
+            self._reap(shard)
             state = self.supervisor.record_death(cohort)
             if state == WORKER_QUARANTINED:
                 raise CohortQuarantinedError(
@@ -926,22 +950,25 @@ class ProcessShardExecutor(_BoundMixin):
                 pending=(shard.ticket,) if unanswered else (),
                 detail=f"exitcode {shard.process.exitcode}",
             )
+        tag = "crash" if shard.crash_armed else "flush"
         try:
-            shard.conn.send(("flush", prepared.windows, prepared.chunk_size))
-        except (BrokenPipeError, OSError):
+            shard.conn.send((tag, prepared.windows, prepared.chunk_size))
+        except OSError:
             self._note_worker_death(shard)
             raise WorkerDiedError(cohort, detail="pipe closed") from None
         shard.busy = True
-        shard.ticket = _ShardTicket(shard, self.request_timeout_s, executor=self)
+        shard.ticket = _ShardTicket(shard, self)
         return shard.ticket
 
     # ------------------------------------------------------------------ #
     # plan hot-swap
     # ------------------------------------------------------------------ #
-    def swap_plan(self, cohort: str, payload: bytes) -> int:
-        """Ship a new plan payload to the cohort's worker; returns its version.
+    def swap_plan(self, cohort: str, payload: Any) -> int:
+        """Ship a new plan to the cohort's worker; returns its version.
 
-        The worker double-buffers: it builds the new replica completely,
+        ``payload`` is transport bytes or a classifier (lowered through
+        :meth:`_image_for`).  The worker double-buffers: it builds the new
+        replica completely,
         then flips between flushes, so no flush ever observes a
         half-updated plan — a failed build keeps the old plan serving and
         surfaces as a :class:`FlushExecutionError` (idle worker) or on
@@ -954,13 +981,10 @@ class ProcessShardExecutor(_BoundMixin):
                 f"cannot swap cohort {cohort!r}: executor was shut down"
             )
         self._classifier_for(cohort)
-        if not isinstance(payload, (bytes, bytearray, memoryview)):
-            # A classifier object: lower it to its transport payload here so
-            # callers can hand either form to any swap-capable executor.
-            payload = self._payload_for(cohort, payload)
+        image = self._image_for(cohort, payload)
         version = self._versions[cohort] + 1
         self._versions[cohort] = version
-        self._payloads[cohort] = bytes(payload)
+        self._images[cohort] = image
         shard = self._shards.get(cohort)
         if (
             shard is None
@@ -970,8 +994,8 @@ class ProcessShardExecutor(_BoundMixin):
             # Lane is down or respawning: the respawn serves the new image.
             return version
         try:
-            shard.conn.send(("swap", version, self._payloads[cohort]))
-        except (BrokenPipeError, OSError):
+            shard.conn.send(("swap", version, image))
+        except OSError:
             self._note_worker_death(shard)
             return version
         if shard.busy:
@@ -999,7 +1023,7 @@ class ProcessShardExecutor(_BoundMixin):
                         f"swap v{version} within {self.request_timeout_s}s"
                     )
                 message = shard.conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
+            except (EOFError, OSError):
                 self._note_worker_death(shard)
                 raise WorkerDiedError(
                     shard.cohort, detail="pipe closed during plan swap"
@@ -1030,13 +1054,19 @@ class ProcessShardExecutor(_BoundMixin):
     # fault injection surface (chaos harness)
     # ------------------------------------------------------------------ #
     def inject_kill(self, cohort: str, phase: str = "idle") -> None:
-        """SIGKILL the cohort's worker (``phase`` is advisory for parity
-        with the simulated backend — a real kill lands wherever the worker
-        happens to be)."""
+        """Kill the cohort's worker.
+
+        ``mid-flush`` arms the lane: the worker exits on its next flush
+        without answering, so that flush dies in flight.  Every other phase
+        SIGKILLs the worker now, wherever it happens to be.
+        """
         shard = self._shards.get(cohort)
         if shard is None or not shard.process.is_alive():
             return
-        os.kill(shard.process.pid, signal.SIGKILL)
+        if phase == "mid-flush":
+            shard.crash_armed = True
+            return
+        shard.process.kill()
         shard.process.join(timeout=10.0)
 
     def inject_pipe_close(self, cohort: str) -> None:
@@ -1056,7 +1086,7 @@ class ProcessShardExecutor(_BoundMixin):
             return
         try:
             shard.conn.send(("stall", float(duration_s)))
-        except (BrokenPipeError, OSError):
+        except OSError:
             pass
 
     # ------------------------------------------------------------------ #
@@ -1069,7 +1099,7 @@ class ProcessShardExecutor(_BoundMixin):
         for shard in shards.values():
             try:
                 shard.conn.send(None)
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
             try:
                 shard.conn.close()
@@ -1080,6 +1110,6 @@ class ProcessShardExecutor(_BoundMixin):
             if shard.process.is_alive():
                 shard.process.terminate()
                 shard.process.join(timeout=5.0)
-        self._payloads = {}
+        self._images = {}
         self._versions = {}
         self._classifiers = None

@@ -1,20 +1,27 @@
 """Chaos soaks: scripted faults against the self-healing shard fleet.
 
-Everything here runs on the FakeClock against the simulated shard backend
-(:class:`repro.serving.chaos.SimulatedShardExecutor`) — the same
-supervision policy and error types as the real process backend, but
-deaths, backoffs and stalls are exact virtual-time events.  That is what
-lets a multi-thousand-virtual-second soak with a dozen kills run in
-seconds and still be compared row-for-row against an uninjected run.
+The soaks run on the FakeClock against the simulated shard backend
+(:class:`repro.serving.chaos.SimulatedShardExecutor`) — the process
+executor itself, with in-process worker lanes, so deaths, backoffs and
+stalls are exact virtual-time events.  That is what lets a
+multi-thousand-virtual-second soak with a dozen kills run in seconds and
+still be compared row-for-row against an uninjected run.  The lifecycle
+contract also runs against real worker processes (``-k ProcessShard``).
 
 The default run is sized for tier-1; set ``REPRO_CHAOS_SOAK=1`` (the CI
 ``chaos-soak`` job does) for the full 10k-virtual-second, 32-session soak.
 """
 
+import dataclasses
 import os
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from repro.models.lstm_model import EEGLSTM, LSTMConfig
+from repro.serving.batcher import PreparedBatch
 
 from repro.serving.chaos import (
     KILL,
@@ -28,13 +35,17 @@ from repro.serving.chaos import (
     window_conservation,
 )
 from repro.serving.executors import (
+    WORKER_QUARANTINED,
     WORKER_RESPAWNING,
     WORKER_RUNNING,
+    CohortQuarantinedError,
     ExecutorClosedError,
+    ProcessShardExecutor,
     SupervisorConfig,
     WorkerDiedError,
 )
 from repro.serving.scheduler import AsyncFleetScheduler, SchedulerConfig
+from repro.utils.timing import MonotonicClock
 from tests.helpers import (
     ClockedStubClassifier,
     FakeClock,
@@ -317,26 +328,98 @@ class TestFaultInjector:
         assert len(injector.applied) == 3
 
 
-class TestSimulatedExecutorContract:
-    """The simulator honours the same lifecycle contract as the real one."""
+class _WallClock(MonotonicClock):
+    """The real clock, steered like the FakeClock by waiting."""
 
-    def _bound(self):
-        clock = FakeClock()
-        executor = SimulatedShardExecutor(supervisor_config=SUPERVISION)
-        executor.bind({"default": ClockedStubClassifier()}, clock)
-        return executor, clock
+    def advance(self, duration_s):
+        self.sleep(duration_s)
 
-    def _prepared(self):
-        from repro.serving.batcher import PreparedBatch
+    def advance_to(self, time_s):
+        self.sleep(time_s - self.now())
 
+
+def _compiled_lstm():
+    classifier = EEGLSTM(LSTMConfig(hidden_size=12), seed=4)
+    classifier.ensure_network(4, 50)
+    return classifier
+
+
+@dataclasses.dataclass
+class ShardBackend:
+    """One shard backend under the lifecycle contract."""
+
+    executor_type: type
+    clock: object
+    supervision: SupervisorConfig
+    make_classifier: object
+    window_shape: tuple
+    worker_prefix: str
+    executors: list = dataclasses.field(default_factory=list)
+
+    def executor(self, **supervision):
+        config = dataclasses.replace(self.supervision, **supervision)
+        executor = self.executor_type(supervisor_config=config)
+        self.executors.append(executor)
+        return executor
+
+    def bound(self, **supervision):
+        executor = self.executor(**supervision)
+        executor.bind({"default": self.make_classifier()}, self.clock)
+        return executor, self.clock
+
+    def prepared(self):
         rng = np.random.default_rng(0)
         return PreparedBatch(
-            session_ids=["x"], windows=rng.standard_normal((1, 2, 4)), chunk_size=8
+            session_ids=["x"],
+            windows=rng.standard_normal((1, *self.window_shape)),
+            chunk_size=8,
         )
 
-    def test_idle_kill_respawns_after_backoff(self):
-        executor, clock = self._bound()
-        prepared = self._prepared()
+    def session(self, i):
+        n_channels, window_size = self.window_shape
+        return ScriptedSession(
+            f"s{i}", n_channels=n_channels, window_size=window_size, seed=i
+        )
+
+
+@pytest.fixture(params=["SimulatedShard", "ProcessShard"])
+def shard_backend(request):
+    """The simulator on the FakeClock, or real worker processes on the real
+    clock with zero backoff (so no test sleeps through a backoff window)."""
+    if request.param == "SimulatedShard":
+        backend = ShardBackend(
+            SimulatedShardExecutor,
+            FakeClock(),
+            SUPERVISION,
+            ClockedStubClassifier,
+            (2, 4),
+            "sim",
+        )
+    else:
+        backend = ShardBackend(
+            ProcessShardExecutor,
+            _WallClock(),
+            dataclasses.replace(
+                SUPERVISION, backoff_initial_s=0.0, jitter_fraction=0.0
+            ),
+            _compiled_lstm,
+            (4, 50),
+            "shard",
+        )
+    with hard_timeout(240, what=f"{request.param} lifecycle contract"):
+        try:
+            yield backend
+        finally:
+            for executor in backend.executors:
+                executor.shutdown()
+
+
+class TestShardExecutorContract:
+    """Both shard backends honour one lifecycle contract."""
+
+    def test_idle_kill_respawns_after_backoff(self, shard_backend):
+        executor, clock = shard_backend.bound()
+        prepared = shard_backend.prepared()
         executor.inject_kill("default", phase="idle")
         with pytest.raises(WorkerDiedError):
             executor.submit_flush("default", prepared)
@@ -345,36 +428,106 @@ class TestSimulatedExecutorContract:
         assert retry_at is not None
         clock.advance_to(retry_at)
         execution = executor.submit_flush("default", prepared).result()
-        assert execution.worker == "sim:default"
+        assert execution.worker == f"{shard_backend.worker_prefix}:default"
         assert executor.worker_state("default") == WORKER_RUNNING
         assert executor.restart_count("default") == 1
 
-    def test_mid_flush_kill_carries_the_pending_ticket(self):
-        executor, clock = self._bound()
+    def test_mid_flush_kill_carries_the_pending_ticket(self, shard_backend):
+        executor, clock = shard_backend.bound()
         executor.inject_kill("default", phase="mid-flush")
-        ticket = executor.submit_flush("default", self._prepared())
+        ticket = executor.submit_flush("default", shard_backend.prepared())
         with pytest.raises(WorkerDiedError) as err:
             ticket.result()
         assert err.value.pending == (ticket,)
         assert executor.worker_state("default") == WORKER_RESPAWNING
 
+    def test_death_past_the_restart_budget_quarantines(self, shard_backend):
+        executor, clock = shard_backend.bound(max_restarts=0)
+        prepared = shard_backend.prepared()
+        executor.inject_kill("default", phase="idle")
+        with pytest.raises(WorkerDiedError):
+            executor.submit_flush("default", prepared)
+        assert executor.worker_state("default") == WORKER_QUARANTINED
+        with pytest.raises(CohortQuarantinedError):
+            executor.submit_flush("default", prepared)
+
     def test_stall_advances_virtual_time_by_the_scripted_amount(self):
-        executor, clock = self._bound()
+        clock = FakeClock()
+        executor = SimulatedShardExecutor(supervisor_config=SUPERVISION)
+        executor.bind({"default": ClockedStubClassifier()}, clock)
         executor.inject_stall("default", 1.5)
         before = clock.now()
-        executor.submit_flush("default", self._prepared()).result()
+        prepared = PreparedBatch(
+            session_ids=["x"], windows=np.zeros((1, 2, 4)), chunk_size=8
+        )
+        executor.submit_flush("default", prepared).result()
         assert clock.now() - before == pytest.approx(1.5)
 
-    def test_shutdown_is_idempotent_and_terminal(self):
-        executor, clock = self._bound()
+    def test_shutdown_is_idempotent_and_terminal(self, shard_backend):
+        executor, clock = shard_backend.bound()
         executor.shutdown()
         executor.shutdown()
         with pytest.raises(ExecutorClosedError):
-            executor.submit_flush("default", self._prepared())
+            executor.submit_flush("default", shard_backend.prepared())
         with pytest.raises(ExecutorClosedError):
             executor.bind({"default": ClockedStubClassifier()}, clock)
         with pytest.raises(ExecutorClosedError):
             executor.swap_plan("default", ClockedStubClassifier())
+
+    def test_pipe_loss_with_a_flush_in_flight_requeues_and_recovers(
+        self, shard_backend
+    ):
+        # The worker holds its reply for a stall, so the flush is still in
+        # flight when the parent's pipe end closes; the next pump must heal
+        # the death, not crash on the closed handle.  (The simulator answers
+        # inside the first pump, so it finds the lost pipe at the next
+        # flush instead.)  Either way: one death, nothing lost.
+        deadline_s = 0.05
+        executor = shard_backend.executor(
+            backoff_initial_s=0.0, jitter_fraction=0.0
+        )
+        clock = shard_backend.clock
+        scheduler = AsyncFleetScheduler(
+            {"default": shard_backend.make_classifier()},
+            scheduler_config=SchedulerConfig(deadline_s=deadline_s),
+            clock=clock,
+            executor=executor,
+        )
+        for i in range(2):
+            scheduler.add_session(shard_backend.session(i))
+        outcomes = Counter()
+
+        def submit_round():
+            for i in range(2):
+                outcomes[scheduler.submit(f"s{i}")] += 1
+            clock.advance(deadline_s)
+
+        submit_round()
+        executor.inject_stall("default", 0.3)
+        scheduler.pump(wait=False)
+        executor.inject_pipe_close("default")
+        scheduler.pump()
+        clock.advance(deadline_s)
+        scheduler.pump()
+        submit_round()
+        scheduler.pump()
+        scheduler.drain()
+
+        died = [
+            r
+            for r in scheduler.telemetry.records
+            if r.flush_reason == "worker-died"
+        ]
+        assert len(died) == 1
+        assert scheduler.worker_deaths == 1
+        assert executor.restart_count("default") == 1
+        assert [s.labels_emitted() for s in scheduler.sessions] == [2, 2]
+        conservation = window_conservation(
+            scheduler, SimpleNamespace(outcomes=outcomes)
+        )
+        assert conservation["holds"] == 1
+        assert conservation["superseded"] == 0
+        scheduler.shutdown()
 
 
 class TestHotSwap:

@@ -23,6 +23,7 @@ from repro.serving.executors import (
     SupervisorConfig,
     ThreadPoolFlushExecutor,
     WorkerDiedError,
+    _shard_worker_main,
 )
 from repro.serving.scheduler import (
     SUBMIT_FLUSHED,
@@ -521,6 +522,21 @@ class TestProcessShardExecutor:
             np.testing.assert_allclose(a, b, atol=1e-7, rtol=0)
         record = sharded.telemetry.records[-1]
         assert record.worker == "shard:default"
+
+    def test_worker_exits_quietly_when_the_parent_end_is_gone(self):
+        class ClosedPipe:
+            closed = False
+
+            def send(self, message):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def close(self):
+                self.closed = True
+
+        pipe = ClosedPipe()
+        payload = _lstm().ensure_compiled().to_payload()
+        _shard_worker_main(pipe, "default", payload)  # returns, no traceback
+        assert pipe.closed
 
     def test_untransportable_classifier_rejected_at_bind(self):
         executor = ProcessShardExecutor()
