@@ -288,9 +288,9 @@ class ShardSupervisor:
             self._deaths[cohort] = deque()
             self._consecutive[cohort] = 0
             self._restarts[cohort] = 0
-            self._rng[cohort] = random.Random(
-                (self.config.seed, cohort).__hash__() & 0x7FFFFFFF
-            )
+            # A string seed hashes stably; hash() of a str is salted per
+            # process (PYTHONHASHSEED), so runs would not reproduce.
+            self._rng[cohort] = random.Random(f"{self.config.seed}:{cohort}")
 
     def state(self, cohort: str) -> str:
         return self._state.get(cohort, WORKER_RUNNING)

@@ -6,6 +6,13 @@ real clock, wrapped in a hard wall-clock timeout so a wedged worker fails
 fast and attributably.
 """
 
+import inspect
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -703,6 +710,36 @@ class TestShardSupervisor:
         assert retry_delays(0) != retry_delays(1)
         for delay in retry_delays(3):
             assert 0.0 < delay <= config.max_backoff_budget_s()
+
+    def test_jitter_is_identical_across_interpreter_runs(self):
+        script = textwrap.dedent(
+            """
+            from repro.serving.executors import ShardSupervisor, SupervisorConfig
+            from repro.utils.timing import VirtualClock
+
+            supervisor = ShardSupervisor(
+                SupervisorConfig(max_restarts=100, seed=7), VirtualClock()
+            )
+            for _ in range(3):
+                supervisor.record_death("left")
+                print(repr(supervisor.retry_at_s("left")))
+                supervisor.record_respawn_success("left")
+            """
+        )
+        src = str(Path(inspect.getfile(ShardSupervisor)).resolve().parents[2])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for hash_seed in ("0", "1")
+        ]
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]
 
     def test_unwatched_cohort_reads_as_running(self):
         supervisor, _ = self._supervisor()
