@@ -873,11 +873,10 @@ class ProcessShardExecutor(_BoundMixin):
         old = self._shards.get(cohort)
         if old is not None:
             self._reap(old)
-        shard = self._spawn_process(cohort)
         try:
+            shard = self._spawn_process(cohort)
             self._await_ready(shard, time.monotonic() + self.start_timeout_s)
         except FlushExecutionError as exc:
-            self._reap(shard)
             state = self.supervisor.record_death(cohort)
             if state == WORKER_QUARANTINED:
                 raise CohortQuarantinedError(
