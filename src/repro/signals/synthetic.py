@@ -137,22 +137,6 @@ class ParticipantProfile:
         return profiles
 
 
-def _pink_noise(rng: np.random.Generator, n_samples: int) -> np.ndarray:
-    """Generate 1/f noise via spectral shaping of white noise."""
-    white = rng.standard_normal(n_samples)
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n_samples, d=1.0)
-    # Avoid dividing by zero at DC; 1/sqrt(f) amplitude shaping gives 1/f power.
-    scale = np.ones_like(freqs)
-    nonzero = freqs > 0
-    scale[nonzero] = 1.0 / np.sqrt(freqs[nonzero])
-    shaped = np.fft.irfft(spectrum * scale, n=n_samples)
-    std = shaped.std()
-    if std > 0:
-        shaped = shaped / std
-    return shaped
-
-
 class SyntheticEEGGenerator:
     """Generate multi-channel EEG segments for a given participant.
 
@@ -244,9 +228,7 @@ class SyntheticEEGGenerator:
     def _background(self, n_samples: int, t: np.ndarray) -> np.ndarray:
         cfg = self.profile.artifacts
         n_ch = self.montage.n_channels
-        data = np.zeros((n_ch, n_samples))
-        for ch in range(n_ch):
-            data[ch] += cfg.pink_noise_uv * _pink_noise(self._rng, n_samples)
+        data = cfg.pink_noise_uv * self._pink_noise(n_ch, n_samples)
         data += cfg.white_noise_uv * self._rng.standard_normal((n_ch, n_samples))
         # Slow electrode drift (common across channels with random phase).
         phases = self._rng.uniform(0, 2 * np.pi, size=n_ch)
@@ -264,6 +246,24 @@ class SyntheticEEGGenerator:
             2 * np.pi * cfg.line_noise_hz * t
         )[None, :]
         return data
+
+    def _pink_noise(self, n_ch: int, n_samples: int) -> np.ndarray:
+        """Unit-variance 1/f noise per channel via spectral shaping of white noise.
+
+        All channels are shaped in one FFT round trip; each row is drawn,
+        shaped and scaled exactly as it would be on its own.
+        """
+        white = self._rng.standard_normal((n_ch, n_samples))
+        spectrum = np.fft.rfft(white, axis=1)
+        freqs = np.fft.rfftfreq(n_samples, d=1.0)
+        # Avoid dividing by zero at DC; 1/sqrt(f) amplitude shaping gives 1/f power.
+        scale = np.ones_like(freqs)
+        nonzero = freqs > 0
+        scale[nonzero] = 1.0 / np.sqrt(freqs[nonzero])
+        shaped = np.fft.irfft(spectrum * scale, n=n_samples, axis=1)
+        std = shaped.std(axis=1, keepdims=True)
+        np.divide(shaped, std, out=shaped, where=std > 0)
+        return shaped
 
     def _motor_rhythms(self, t: np.ndarray, action: str) -> np.ndarray:
         rhythms = self.profile.rhythms

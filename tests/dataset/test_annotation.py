@@ -88,6 +88,16 @@ class TestAnnotateRecording:
         filtered = Annotator(AnnotationConfig(apply_preprocessing=True)).annotate_session(session)
         assert not np.allclose(raw.data, filtered.data)
 
+    def test_session_shorter_than_the_filter_pad_is_kept_raw(self):
+        # 57 samples is one short of what the 9th-order band-pass accepts.
+        cues = [CueEvent(0.0, ACTION_LEFT, 1.0)]
+        short = _session_with_cues(cues, 57)
+        annotated = Annotator().annotate_session(short)
+        assert np.array_equal(annotated.data, short.data)
+        assert annotated.labels.shape == (57,)
+        longer = _session_with_cues(cues, 58)
+        assert not np.allclose(Annotator().annotate_session(longer).data, longer.data)
+
     def test_label_fractions_sum_to_one(self):
         cues = [CueEvent(0.0, ACTION_LEFT, 2.0), CueEvent(2.0, ACTION_IDLE, 2.0)]
         session = _session_with_cues(cues, 500)

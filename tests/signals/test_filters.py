@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
+from repro.serving.session import ServingSession
+from repro.signals import filters
 from repro.signals.filters import (
     FilterSettings,
     PreprocessingPipeline,
@@ -12,6 +15,7 @@ from repro.signals.filters import (
     notch_filter,
     remove_artifacts,
 )
+from repro.signals.synthetic import ParticipantProfile
 from repro.signals.quality import band_power, line_noise_power
 
 FS = 125.0
@@ -113,6 +117,15 @@ class TestPipeline:
     def test_minimum_samples_positive(self):
         assert PreprocessingPipeline().minimum_samples() > 0
 
+    @pytest.mark.parametrize("order", [4, 9])
+    def test_minimum_samples_is_the_shortest_accepted_segment(self, order):
+        pipeline = PreprocessingPipeline(FilterSettings(bandpass_order=order))
+        shortest = pipeline.minimum_samples()
+        x = np.random.default_rng(order).standard_normal((3, shortest))
+        assert pipeline(x).shape == x.shape
+        with pytest.raises(ValueError, match="padlen"):
+            pipeline(x[:, :-1])
+
     def test_artifact_stage_can_be_disabled(self):
         settings_obj = FilterSettings(remove_artifacts=False)
         pipeline = PreprocessingPipeline(settings_obj)
@@ -138,3 +151,148 @@ class TestPipeline:
         x = rng.standard_normal((4, 500))
         p = PreprocessingPipeline()
         np.testing.assert_allclose(p(x), p(x))
+
+
+# --------------------------------------------------------------------------- #
+# Oracle: scipy's own zero-phase filters, designed per call, and the
+# per-channel artifact loop.  The library must match them bit for bit.
+# --------------------------------------------------------------------------- #
+def _oracle_artifacts(data, fs, threshold, window_s):
+    arr = np.atleast_2d(np.asarray(data, dtype=float))
+    cleaned = arr.copy()
+    half = max(1, int(window_s * fs / 2))
+    n_samples = arr.shape[1]
+    for ch in range(arr.shape[0]):
+        channel = cleaned[ch]
+        baseline = np.median(channel)
+        outliers = np.abs(channel - baseline) > threshold
+        for i in np.flatnonzero(outliers):
+            lo = max(0, i - half)
+            hi = min(n_samples, i + half + 1)
+            neighbourhood = channel[lo:hi]
+            good = neighbourhood[np.abs(neighbourhood - baseline) <= threshold]
+            channel[i] = np.median(good) if good.size else baseline
+    return cleaned[0] if np.ndim(data) == 1 else cleaned
+
+
+def _oracle_bandpass(x, cfg):
+    nyquist = cfg.sampling_rate_hz / 2.0
+    sos = sps.butter(
+        cfg.bandpass_order,
+        [cfg.bandpass_low_hz / nyquist, cfg.bandpass_high_hz / nyquist],
+        btype="band",
+        output="sos",
+    )
+    return sps.sosfiltfilt(sos, x, axis=-1)
+
+
+def _oracle_notch(x, cfg):
+    b, a = sps.iirnotch(cfg.notch_hz, cfg.notch_quality, fs=cfg.sampling_rate_hz)
+    return sps.filtfilt(b, a, x, axis=-1)
+
+
+def _oracle_chain(x, cfg):
+    y = _oracle_notch(_oracle_bandpass(x, cfg), cfg)
+    return _oracle_artifacts(y, cfg.sampling_rate_hz, cfg.artifact_threshold_uv, cfg.artifact_window_s)
+
+
+def _random_case(seed):
+    """Settings and an EEG-like input with spike runs and a saturated channel."""
+    rng = np.random.default_rng(seed)
+    cfg = FilterSettings(
+        bandpass_order=int(rng.choice([4, 9])),
+        bandpass_low_hz=float(rng.choice([0.5, 1.0, 4.0, 8.0])),
+        bandpass_high_hz=float(rng.choice([30.0, 40.0, 45.0, 55.0])),
+        artifact_threshold_uv=float(rng.choice([40.0, 60.0])),
+    )
+    n_ch = int(rng.integers(1, 17))
+    n = int(rng.integers(PreprocessingPipeline(cfg).minimum_samples(), 2001))
+    x = 10.0 * rng.standard_normal((n_ch, n)) + 30.0 * rng.standard_normal((n_ch, 1))
+    for _ in range(int(rng.integers(0, 4 * n_ch + 1))):
+        # Runs of adjacent outliers pin the sequential in-place replacement.
+        ch, start = int(rng.integers(n_ch)), int(rng.integers(n))
+        x[ch, start : start + int(rng.integers(1, 20))] += rng.choice([-1.0, 1.0]) * rng.uniform(80, 400)
+    if rng.random() < 0.15:
+        # Every sample of this channel is an outlier: the baseline fallback.
+        x[int(rng.integers(n_ch)), :] = 100.0 * np.where(np.arange(n) % 2, 1.0, -1.0)
+    if n_ch == 1 and rng.random() < 0.5:
+        x = x[0]
+    return cfg, x
+
+
+class TestFilterOracle:
+    SEEDS = range(200)
+
+    def test_pipeline_matches_scipy_bit_for_bit(self):
+        for seed in self.SEEDS:
+            cfg, x = _random_case(seed)
+            got = PreprocessingPipeline(cfg)(x)
+            assert np.array_equal(got, _oracle_chain(x, cfg)), f"seed={seed}"
+
+    def test_artifact_removal_matches_per_channel_loop(self):
+        for seed in self.SEEDS:
+            cfg, x = _random_case(seed)
+            got = remove_artifacts(x, cfg.sampling_rate_hz, cfg.artifact_threshold_uv, cfg.artifact_window_s)
+            want = _oracle_artifacts(x, cfg.sampling_rate_hz, cfg.artifact_threshold_uv, cfg.artifact_window_s)
+            assert np.array_equal(got, want), f"seed={seed}"
+
+    def test_each_filter_matches_scipy_bit_for_bit(self):
+        for seed in self.SEEDS:
+            cfg, x = _random_case(seed)
+            got = bandpass_butterworth(
+                x, cfg.sampling_rate_hz, cfg.bandpass_low_hz, cfg.bandpass_high_hz, cfg.bandpass_order
+            )
+            assert np.array_equal(got, _oracle_bandpass(x, cfg)), f"seed={seed}"
+            got = notch_filter(x, cfg.sampling_rate_hz, cfg.notch_hz, cfg.notch_quality)
+            assert np.array_equal(got, _oracle_notch(x, cfg)), f"seed={seed}"
+
+    def test_too_short_input_raises_like_scipy(self):
+        with pytest.raises(ValueError, match="greater than padlen, which is 57"):
+            bandpass_butterworth(np.zeros(57))
+        with pytest.raises(ValueError, match="greater than padlen, which is 9"):
+            notch_filter(np.zeros((2, 9)))
+
+
+class TestDesignCache:
+    """The filters are designed once per parameter tuple, not once per label."""
+
+    def test_prepare_window_designs_nothing_after_the_first_label(self, monkeypatch):
+        calls = {}
+
+        def counting(name):
+            original = getattr(sps, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("butter", "iirnotch", "sosfilt_zi", "lfilter_zi"):
+            monkeypatch.setattr(sps, name, counting(name))
+        filters._bandpass_design.cache_clear()
+        filters._notch_design.cache_clear()
+        session = ServingSession("s0", profile=ParticipantProfile(participant_id="P01", seed=3))
+        session.start()
+        assert session.prepare_window() is not None
+        assert set(calls) == {"butter", "iirnotch", "sosfilt_zi", "lfilter_zi"}
+        calls.clear()
+        for _ in range(50):
+            assert session.prepare_window() is not None
+        assert calls == {}
+
+    def test_changing_settings_changes_the_output(self):
+        x = np.random.default_rng(0).standard_normal((4, 500))
+        pipeline = PreprocessingPipeline()
+        before = pipeline(x)
+        pipeline.settings.bandpass_high_hz = 30.0
+        after = pipeline(x)
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, PreprocessingPipeline(FilterSettings(bandpass_high_hz=30.0))(x))
+
+    def test_cached_designs_are_read_only(self):
+        bandpass = filters._bandpass_design(125.0, 0.5, 45.0, 9)
+        notch = filters._notch_design(125.0, 50.0, 30.0)
+        for arr in (*bandpass.coefficients, bandpass.zi, *notch.coefficients, notch.zi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0.0

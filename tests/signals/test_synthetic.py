@@ -1,5 +1,7 @@
 """Tests for the synthetic EEG generator."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,42 @@ class TestCohort:
         profile = ParticipantProfile(participant_id="X", seed=1)
         gen = SyntheticEEGGenerator(profile, montage)
         assert gen.generate(1.0).shape[0] == 4
+
+
+def _reference_pink_noise(rng, n_samples):
+    """One channel of 1/f noise, drawn and shaped on its own."""
+    white = rng.standard_normal(n_samples)
+    spectrum = np.fft.rfft(white)
+    freqs = np.fft.rfftfreq(n_samples, d=1.0)
+    scale = np.ones_like(freqs)
+    nonzero = freqs > 0
+    scale[nonzero] = 1.0 / np.sqrt(freqs[nonzero])
+    shaped = np.fft.irfft(spectrum * scale, n=n_samples)
+    std = shaped.std()
+    if std > 0:
+        shaped = shaped / std
+    return shaped
+
+
+class _PerChannelGenerator(SyntheticEEGGenerator):
+    """The generator with its pink noise drawn one channel at a time."""
+
+    def _pink_noise(self, n_ch, n_samples):
+        return np.stack([_reference_pink_noise(self._rng, n_samples) for _ in range(n_ch)])
+
+
+class TestOnePassSynthesis:
+    """All channels' pink noise in one FFT round trip changes no output bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 1234])
+    @pytest.mark.parametrize("n_samples", [1, 8, 1250])
+    def test_blocks_and_rng_match_per_channel_reference(self, seed, n_samples):
+        profile = ParticipantProfile(participant_id="P01", seed=seed)
+        fast = SyntheticEEGGenerator(profile)
+        reference = _PerChannelGenerator(copy.deepcopy(profile))
+        for action in (ACTION_IDLE, ACTION_LEFT, ACTION_RIGHT):
+            block = fast.generate(n_samples / fast.sampling_rate_hz, action)
+            want = reference.generate(n_samples / reference.sampling_rate_hz, action)
+            assert block.shape == (16, n_samples)
+            assert np.array_equal(block, want)
+        assert np.array_equal(fast._rng.standard_normal(8), reference._rng.standard_normal(8))
