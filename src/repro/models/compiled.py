@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.models.preprocess import (
 )
 from repro.nn import autotune
 from repro.nn.inference import (
+    _MALFORMED,
     InferencePlan,
     PlanTransportError,
     SoftmaxKernel,
@@ -205,13 +206,16 @@ class CompiledClassifier:
 
         The bytes are an ``.npz`` archive in the same geometry as the weight
         archives ``NeuralEEGClassifier.save_weights`` writes: a flat dict of
-        arrays plus a ``__meta__`` JSON entry.  It embeds the kernel plan
-        (:meth:`repro.nn.inference.InferencePlan.to_payload`) and the
-        classifier's prepare spec, so :meth:`from_payload` — typically in a
-        worker process — rebuilds an object whose ``predict_proba`` is
-        numerically identical to this one, without autograd or the Module
-        tree.  Raises :class:`~repro.nn.inference.PlanTransportError` when
-        the source classifier's preprocessing has no transportable spec.
+        arrays plus a ``__meta__`` JSON entry.  It is the kernel plan's
+        archive (:meth:`repro.nn.inference.InferencePlan.to_payload`: one
+        JSON node per kernel, arrays named by field path) with the
+        classifier's prepare spec, revision and autotune entries added next
+        to the plan's ``format``/``dtype``/``kernels`` metadata, so
+        :meth:`from_payload` — typically in a worker process — rebuilds an
+        object whose ``predict_proba`` is numerically identical to this one,
+        without autograd or the Module tree.  Raises
+        :class:`~repro.nn.inference.PlanTransportError` when the source
+        classifier's preprocessing has no transportable spec.
         """
         spec_hook = getattr(self.classifier, "prepare_spec", None)
         spec = spec_hook() if spec_hook is not None else None
@@ -262,28 +266,59 @@ class CompiledClassifier:
 
     @classmethod
     def from_payload(cls, data: bytes) -> "CompiledClassifier":
-        """Rebuild a serving-ready classifier from :meth:`to_payload` bytes."""
-        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(payload[InferencePlan.META_KEY]))
-        classifier_meta = meta.get("classifier")
-        if classifier_meta is None:
-            raise PlanTransportError(
-                "payload has no classifier metadata; was it written by "
-                "InferencePlan.to_payload instead of CompiledClassifier?"
+        """Rebuild a serving-ready classifier from :meth:`to_payload` bytes.
+
+        Malformed bytes raise :class:`~repro.nn.inference.PlanTransportError`.
+        """
+        payload, meta, revision = _read_payload(data)
+        plan = InferencePlan.from_payload(payload)
+        try:
+            shim = TransportedPreprocessor(
+                meta["classifier"]["family"], meta["classifier"]["prepare"]
             )
-        autotune_meta = meta.get("autotune")
-        if autotune_meta:
+            calibrations = dict((meta.get("autotune") or {}).get("entries", {}))
+        except _MALFORMED as exc:
+            raise PlanTransportError(
+                f"bad classifier metadata ({type(exc).__name__}: {exc})"
+            ) from exc
+        if calibrations:
             # Adopt the parent's calibration results: entries are keyed by
             # host fingerprint, so cross-host payloads merge harmlessly
             # (their keys never match a lookup here) and same-host workers
             # skip every calibration timing.  Local entries win on conflict.
-            autotune.default_cache().seed(dict(autotune_meta.get("entries", {})))
-        plan = InferencePlan.from_payload(payload)
-        shim = TransportedPreprocessor(
-            classifier_meta["family"], classifier_meta["prepare"]
+            autotune.default_cache().seed(calibrations)
+        return cls(shim, plan, revision=revision)
+
+
+def _read_payload(
+    data: bytes, arrays: bool = True
+) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], int]:
+    """Open :meth:`CompiledClassifier.to_payload` bytes.
+
+    Returns ``(entries, meta, revision)``: every archive entry (only the
+    metadata entry when ``arrays`` is false), the parsed ``__meta__`` and
+    the plan revision.  Any malformed input raises
+    :class:`~repro.nn.inference.PlanTransportError`.
+    """
+    try:
+        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            names = archive.files if arrays else [InferencePlan.META_KEY]
+            entries = {name: archive[name] for name in names}
+        meta = json.loads(str(entries[InferencePlan.META_KEY]))
+        classifier_meta = meta.get("classifier")
+        revision = None if classifier_meta is None else int(
+            classifier_meta.get("revision", 0)
         )
-        return cls(shim, plan, revision=int(classifier_meta.get("revision", 0)))
+    except _MALFORMED as exc:
+        raise PlanTransportError(
+            f"malformed plan payload ({type(exc).__name__}: {exc})"
+        ) from exc
+    if revision is None:
+        raise PlanTransportError(
+            "payload has no classifier metadata; was it written by "
+            "InferencePlan.to_payload instead of CompiledClassifier?"
+        )
+    return entries, meta, revision
 
 
 def payload_revision(data: bytes) -> int:
@@ -291,17 +326,10 @@ def payload_revision(data: bytes) -> int:
 
     Cheap metadata peek for supervisors deciding whether a cached respawn
     payload is already at the fleet's current plan version.  Returns 0 for
-    payloads written before revisions existed.
+    payloads written before revisions existed; malformed bytes raise
+    :class:`~repro.nn.inference.PlanTransportError`.
     """
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        meta = json.loads(str(archive[InferencePlan.META_KEY]))
-    classifier_meta = meta.get("classifier")
-    if classifier_meta is None:
-        raise PlanTransportError(
-            "payload has no classifier metadata; was it written by "
-            "InferencePlan.to_payload instead of CompiledClassifier?"
-        )
-    return int(classifier_meta.get("revision", 0))
+    return _read_payload(data, arrays=False)[2]
 
 
 def compile_classifier(

@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -125,9 +127,22 @@ def _make_weight(
 ) -> PlanWeight:
     """Extract a matmul weight, optionally through the quantizer hook."""
     if quantizer is None:
-        return PlanWeight(np.asarray(values, dtype=dtype))
+        return _stored_weight(values, None, dtype)
     q, scale = quantizer(np.asarray(values, dtype=np.float64))
-    return PlanWeight(q.astype(dtype), float(scale), q)
+    return _stored_weight(q, scale, dtype)
+
+
+def _stored_weight(
+    storage: np.ndarray, scale: Optional[float], dtype: np.dtype
+) -> PlanWeight:
+    """A weight from its canonical ``storage`` (and quantization ``scale``).
+
+    The one place the serving-dtype ``compute`` operand is cast, so a weight
+    rebuilt from a payload is the very weight the compiler built.
+    """
+    if scale is None:
+        return PlanWeight(np.asarray(storage, dtype=dtype))
+    return PlanWeight(storage.astype(dtype), float(scale), storage)
 
 
 def _make_elementwise(
@@ -230,6 +245,8 @@ class Kernel:
 class DenseKernel(Kernel):
     """Fused ``y = act(x @ W [* scale] + b)``."""
 
+    transport = ("weight", "bias", "activation")
+
     def __init__(
         self,
         weight: PlanWeight,
@@ -327,6 +344,8 @@ class SparseDenseKernel(Kernel):
     touches ~10 % of the dense working set either way.
     """
 
+    transport = ("weight", "bias", "activation")
+
     def __init__(
         self,
         weight: SparseOperand,
@@ -387,6 +406,8 @@ class SparseDenseKernel(Kernel):
 class ActivationKernel(Kernel):
     """Standalone ReLU/Tanh when there is no preceding kernel to fuse into."""
 
+    transport = ("activation",)
+
     def __init__(self, activation: str) -> None:
         self.activation = activation
 
@@ -411,6 +432,11 @@ class ActivationKernel(Kernel):
 
 class Conv2dKernel(Kernel):
     """im2col convolution with bias and activation fused into the matmul tail."""
+
+    transport = (
+        "weight", "bias", "kernel_size", "stride", "padding", "out_channels",
+        "activation",
+    )
 
     def __init__(
         self,
@@ -545,6 +571,8 @@ class Conv2dKernel(Kernel):
 
 
 class _PoolKernel(Kernel):
+    transport = ("kernel_size", "stride")
+
     def __init__(self, kernel_size: Tuple[int, int], stride: Tuple[int, int]) -> None:
         self.kernel_size = kernel_size
         self.stride = stride
@@ -592,8 +620,15 @@ class MaxPool2dKernel(_PoolKernel):
 
 
 class AvgPool2dKernel(_PoolKernel):
+    # Both paths reduce into a C-ordered buffer: a reduction's summation
+    # order follows its output layout, and ``.mean`` on the channel-last view
+    # a Conv2dKernel returns would sum in another order than the arena.
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._patches(x).mean(axis=(-1, -2))
+        windows = self._patches(x)
+        out = np.empty(windows.shape[:4], dtype=x.dtype)
+        count = self.kernel_size[0] * self.kernel_size[1]
+        _mean_into(windows, (-1, -2), out, count, keepdims=False)
+        return out
 
     def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
         if x.ndim != 4:
@@ -612,6 +647,8 @@ class AvgPool2dKernel(_PoolKernel):
 
 
 class FlattenKernel(Kernel):
+    transport = ()
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # reshape copies only when the layout actually demands it (the old
         # unconditional ascontiguousarray forced that copy even for
@@ -640,6 +677,8 @@ class FlattenKernel(Kernel):
 
 
 class LayerNormKernel(Kernel):
+    transport = ("gamma", "beta", "eps")
+
     def __init__(self, gamma: np.ndarray, beta: np.ndarray, eps: float) -> None:
         self.gamma = gamma
         self.beta = beta
@@ -728,6 +767,8 @@ class LSTMKernel(Kernel):
     then gathers only the surviving weights (or weight tiles) instead of
     streaming the full ``(H, 4H)`` matrix through BLAS.
     """
+
+    transport = ("layers", "hidden_size", "dtype")
 
     def __init__(
         self,
@@ -931,6 +972,10 @@ class EncoderBlockKernel(Kernel):
     residual — with all eight weight matrices extracted at compile time.
     """
 
+    transport = (
+        "n_heads", "d_model", "norm1", "qkv", "attn_out", "norm2", "ff1", "ff2",
+    )
+
     def __init__(
         self,
         n_heads: int,
@@ -1094,6 +1139,8 @@ class EncoderBlockKernel(Kernel):
 class PositionalEncodingKernel(Kernel):
     """Add sinusoidal positional encodings (cached per sequence length)."""
 
+    transport = ("d_model",)
+
     def __init__(self, d_model: int) -> None:
         self.d_model = d_model
         self._cache: Dict[int, np.ndarray] = {}
@@ -1128,6 +1175,8 @@ class PositionalEncodingKernel(Kernel):
 class MeanOverTimeKernel(Kernel):
     """Mean-pool ``(batch, time, features)`` over the time axis."""
 
+    transport = ()
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x.mean(axis=1)
 
@@ -1152,6 +1201,8 @@ class SoftmaxKernel(Kernel):
     double precision keeps each probability row summing to one at float64
     resolution regardless of the plan's serving dtype.
     """
+
+    transport = ()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         z = x.astype(np.float64)
@@ -1459,43 +1510,37 @@ class InferencePlan:
     #: archive geometry of ``NeuralEEGClassifier.save_weights`` (a flat dict
     #: of arrays plus one metadata entry dotted names cannot collide with).
     META_KEY = "__meta__"
-    PAYLOAD_FORMAT = "repro-inference-plan-v1"
+    PAYLOAD_FORMAT = "repro-inference-plan-v2"
 
     def to_payload(self) -> Dict[str, np.ndarray]:
         """Flatten the plan into an ``np.savez``-ready mapping of arrays.
 
-        The result holds one entry per kernel weight (``k{i}.{name}``) plus a
-        :attr:`META_KEY` JSON blob describing the kernel sequence and every
-        non-array attribute (activations, strides, quantization scales, ...).
-        :meth:`from_payload` reconstructs the exact kernels from it — no
-        Module tree, no autograd — which is what lets a shard worker process
-        serve a plan it never compiled.  Quantized plans ship their integer
+        :attr:`META_KEY` holds a JSON tree: the format, the plan dtype and
+        one node per kernel, built from the constructor fields the kernel's
+        class declares as ``transport``.  Every array in the tree is an
+        entry of its own, named by its field path (``k0.weight``,
+        ``k1.layers.0.1.blocks``).  :meth:`from_payload` rebuilds the exact
+        kernels through the same constructors the compiler uses — no Module
+        tree, no autograd — which is what lets a shard worker process serve
+        a plan it never compiled.  Quantized plans ship their integer
         ``storage`` weights; the float ``compute`` operands are re-derived on
         load exactly as the compiler derives them.
 
-        Raises :class:`PlanTransportError` for kernels without a registered
-        serializer (custom kernels injected through ``inference_spec``).
+        Raises :class:`PlanTransportError` for a kernel whose class is not in
+        the transport registry (custom kernels injected through
+        ``inference_spec``).
         """
         arrays: Dict[str, np.ndarray] = {}
-        kernel_meta: List[Dict[str, object]] = []
-        for index, kernel in enumerate(self.kernels):
-            serializer = _KERNEL_SERIALIZERS.get(type(kernel))
-            if serializer is None:
-                raise PlanTransportError(
-                    f"kernel type {type(kernel).__name__} has no transport "
-                    "serializer; register one or keep the plan in-process"
-                )
-            meta, kernel_arrays = serializer(kernel)
-            prefix = f"k{index}"
-            for name, value in kernel_arrays.items():
-                arrays[f"{prefix}.{name}"] = value
-            kernel_meta.append(meta)
+        kernels = [
+            _encode(kernel, f"k{index}", arrays)
+            for index, kernel in enumerate(self.kernels)
+        ]
         arrays[self.META_KEY] = np.asarray(
             json.dumps(
                 {
                     "format": self.PAYLOAD_FORMAT,
                     "dtype": str(self.dtype),
-                    "kernels": kernel_meta,
+                    "kernels": kernels,
                 }
             )
         )
@@ -1503,30 +1548,31 @@ class InferencePlan:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, np.ndarray]) -> "InferencePlan":
-        """Rebuild a plan from a :meth:`to_payload` mapping (or open npz)."""
-        if cls.META_KEY not in payload:
-            raise PlanTransportError("payload has no plan metadata entry")
-        meta = json.loads(str(payload[cls.META_KEY]))
-        if meta.get("format") != cls.PAYLOAD_FORMAT:
-            raise PlanTransportError(
-                f"unsupported plan payload format {meta.get('format')!r}"
-            )
-        dtype = np.dtype(meta["dtype"])
-        names = list(payload.files) if hasattr(payload, "files") else list(payload)
-        kernels: List[Kernel] = []
-        for index, kernel_meta in enumerate(meta["kernels"]):
-            loader = _KERNEL_LOADERS.get(kernel_meta.get("type"))
-            if loader is None:
+        """Rebuild a plan from a :meth:`to_payload` mapping (or open npz).
+
+        Malformed input — missing or unparsable metadata, another format, an
+        unknown type, a missing field or array entry — raises
+        :class:`PlanTransportError` naming the kernel index.
+        """
+        where = "plan metadata"
+        try:
+            meta = json.loads(str(payload[cls.META_KEY]))
+            if meta.get("format") != cls.PAYLOAD_FORMAT:
                 raise PlanTransportError(
-                    f"unknown kernel type {kernel_meta.get('type')!r} in payload"
+                    f"unsupported plan payload format {meta.get('format')!r} "
+                    f"(this reader takes {cls.PAYLOAD_FORMAT!r})"
                 )
-            prefix = f"k{index}."
-            arrays = {
-                name[len(prefix) :]: np.asarray(payload[name])
-                for name in names
-                if name.startswith(prefix)
-            }
-            kernels.append(loader(kernel_meta, arrays, dtype))
+            dtype = np.dtype(meta["dtype"])
+            kernels = []
+            for index, node in enumerate(meta["kernels"]):
+                where = f"kernel {index}"
+                kernels.append(_decode(node, payload, dtype))
+        except PlanTransportError as exc:
+            raise PlanTransportError(f"{where}: {exc}") from exc
+        except _MALFORMED as exc:
+            raise PlanTransportError(
+                f"{where}: malformed payload ({type(exc).__name__}: {exc})"
+            ) from exc
         return cls(kernels, dtype=dtype)
 
 
@@ -1997,316 +2043,98 @@ def compile_network(
 
 
 # ---------------------------------------------------------------------- #
-# Kernel transport registry
+# Plan transport
 # ---------------------------------------------------------------------- #
-# Serializers emit (meta, arrays): meta is the JSON-able attribute record,
-# arrays the weight payload.  Loaders invert them through the very same
-# constructors the compiler uses, so a reconstructed kernel is numerically
-# indistinguishable from the original: quantized weights ship as integer
-# ``storage`` and the float ``compute`` operand is re-cast on load exactly
-# like ``_make_weight`` cast it at compile time.
+#: The library classes a payload may carry.  Each declares ``transport``: the
+#: constructor parameters it is rebuilt from, each read back from the
+#: attribute of the same name.
+_TRANSPORTABLE: Dict[str, type] = {
+    cls.__name__: cls
+    for cls in (
+        DenseKernel,
+        SparseDenseKernel,
+        ActivationKernel,
+        Conv2dKernel,
+        MaxPool2dKernel,
+        AvgPool2dKernel,
+        FlattenKernel,
+        LayerNormKernel,
+        LSTMKernel,
+        EncoderBlockKernel,
+        PositionalEncodingKernel,
+        MeanOverTimeKernel,
+        SoftmaxKernel,
+        ColumnSparseWeight,
+        BlockSparseWeight,
+    )
+}
+
+#: What malformed payload bytes or metadata raise inside ``np.load``,
+#: ``zipfile``, ``json`` and the decoder before they are reported as a
+#: :class:`PlanTransportError`.
+_MALFORMED = (
+    AttributeError, EOFError, IndexError, KeyError, NotImplementedError,
+    OSError, TypeError, ValueError, zipfile.BadZipFile, zlib.error,
+)
 
 
-def _weight_state(weight: PlanWeight) -> Tuple[Optional[float], np.ndarray]:
-    return weight.scale, weight.storage
-
-
-def _weight_load(
-    storage: np.ndarray, scale: Optional[float], dtype: np.dtype
-) -> PlanWeight:
-    if scale is None:
-        return PlanWeight(np.asarray(storage, dtype=dtype))
-    return PlanWeight(storage.astype(dtype), float(scale), storage)
-
-
-def _pair_state(
-    name: str,
-    pair: Tuple[PlanWeight, Optional[np.ndarray]],
-    arrays: Dict[str, np.ndarray],
-) -> Dict[str, object]:
-    weight, bias = pair
-    scale, storage = _weight_state(weight)
-    arrays[f"{name}.weight"] = storage
-    if bias is not None:
-        arrays[f"{name}.bias"] = bias
-    return {"scale": scale, "has_bias": bias is not None}
-
-
-def _pair_load(
-    name: str,
-    meta: Mapping[str, object],
-    arrays: Mapping[str, np.ndarray],
-    dtype: np.dtype,
-) -> Tuple[PlanWeight, Optional[np.ndarray]]:
-    weight = _weight_load(arrays[f"{name}.weight"], meta["scale"], dtype)
-    bias = arrays[f"{name}.bias"] if meta["has_bias"] else None
-    return weight, bias
-
-
-def _dense_state(kernel: DenseKernel):
-    arrays: Dict[str, np.ndarray] = {}
-    meta = _pair_state("w", (kernel.weight, kernel.bias), arrays)
-    meta.update({"type": "dense", "activation": kernel.activation})
-    return meta, arrays
-
-
-def _dense_load(meta, arrays, dtype):
-    weight, bias = _pair_load("w", meta, arrays, dtype)
-    return DenseKernel(weight, bias, meta["activation"])
-
-
-def _sparse_state(
-    name: str, weight: SparseOperand, arrays: Dict[str, np.ndarray]
-) -> Dict[str, object]:
-    for key, value in weight.state_arrays().items():
-        arrays[f"{name}.{key}"] = value
-    if isinstance(weight, BlockSparseWeight):
+def _encode(value: object, path: str, arrays: Dict[str, np.ndarray]) -> object:
+    """One transport field as a JSON node; its arrays land in ``arrays``."""
+    if isinstance(value, np.ndarray):
+        arrays[path] = value
+        return {"array": path}
+    if isinstance(value, PlanWeight):
+        # Quantized weights ship their integer storage, float weights their
+        # values; _decode re-casts ``compute`` exactly as the compiler did.
         return {
-            "kind": "block",
-            "shape": list(weight.shape),
-            "tile": list(weight.tile),
-            "groups": weight.groups,
+            "storage": _encode(value.storage, path, arrays),
+            "scale": value.scale,
         }
-    return {"kind": "sparse", "shape": list(weight.shape)}
-
-
-def _sparse_load(
-    name: str, meta: Mapping[str, object], arrays: Mapping[str, np.ndarray], dtype
-) -> SparseOperand:
-    if meta.get("kind") == "block":
-        return BlockSparseWeight.from_state(
-            tuple(meta["shape"]),
-            tuple(meta["tile"]),
-            {
-                "block_indices": arrays[f"{name}.block_indices"],
-                "blocks": arrays[f"{name}.blocks"],
+    if isinstance(value, np.dtype):
+        return {"dtype": str(value)}
+    if isinstance(value, (list, tuple)):
+        return [_encode(item, f"{path}.{i}", arrays) for i, item in enumerate(value)]
+    cls = type(value)
+    if _TRANSPORTABLE.get(cls.__name__) is cls:
+        return {
+            "type": cls.__name__,
+            "fields": {
+                name: _encode(getattr(value, name), f"{path}.{name}", arrays)
+                for name in cls.transport
             },
-            dtype,
-            groups=int(meta.get("groups", 1)),  # pre-fusion payloads: 1
-        )
-    return ColumnSparseWeight.from_state(
-        tuple(meta["shape"]),
-        {
-            "indices": arrays[f"{name}.indices"],
-            "values": arrays[f"{name}.values"],
-        },
-        dtype,
-    )
-
-
-def _sparse_dense_state(kernel: SparseDenseKernel):
-    arrays: Dict[str, np.ndarray] = {}
-    meta = _sparse_state("w", kernel.weight, arrays)
-    if kernel.bias is not None:
-        arrays["bias"] = kernel.bias
-    meta.update(
-        {
-            "type": "sparse-dense",
-            "activation": kernel.activation,
-            "has_bias": kernel.bias is not None,
         }
-    )
-    return meta, arrays
-
-
-def _sparse_dense_load(meta, arrays, dtype):
-    return SparseDenseKernel(
-        _sparse_load("w", meta, arrays, dtype),
-        arrays["bias"] if meta["has_bias"] else None,
-        meta["activation"],
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise PlanTransportError(
+        f"{cls.__name__} at {path} is not transportable; add it to the "
+        "transport registry or keep the plan in-process"
     )
 
 
-def _activation_state(kernel: ActivationKernel):
-    return {"type": "activation", "activation": kernel.activation}, {}
-
-
-def _conv_state(kernel: Conv2dKernel):
-    arrays: Dict[str, np.ndarray] = {}
-    meta = _pair_state("w", (kernel.weight, kernel.bias), arrays)
-    meta.update(
-        {
-            "type": "conv2d",
-            "activation": kernel.activation,
-            "kernel_size": list(kernel.kernel_size),
-            "stride": list(kernel.stride),
-            "padding": list(kernel.padding),
-            "out_channels": kernel.out_channels,
-        }
+def _decode(
+    node: object, payload: Mapping[str, np.ndarray], dtype: np.dtype
+) -> object:
+    """Invert :func:`_encode` through the constructors the compiler uses."""
+    if isinstance(node, list):
+        return tuple(_decode(item, payload, dtype) for item in node)
+    if not isinstance(node, dict):
+        return node
+    if "array" in node:
+        try:
+            return np.asarray(payload[node["array"]])
+        except KeyError:
+            raise PlanTransportError(
+                f"payload has no array entry {node['array']!r}"
+            ) from None
+    if "storage" in node:
+        storage = _decode(node["storage"], payload, dtype)
+        return _stored_weight(storage, node["scale"], dtype)
+    if "dtype" in node:
+        return np.dtype(node["dtype"])
+    cls = _TRANSPORTABLE.get(node.get("type"))
+    if cls is None:
+        raise PlanTransportError(f"unknown transport type {node.get('type')!r}")
+    fields = node["fields"]
+    return cls(
+        **{name: _decode(fields[name], payload, dtype) for name in cls.transport}
     )
-    return meta, arrays
-
-
-def _conv_load(meta, arrays, dtype):
-    # The stored weight is the original (out, in, kh, kw) layout; the kernel
-    # constructor re-applies the same reshape/transpose the compiler did.
-    weight, bias = _pair_load("w", meta, arrays, dtype)
-    return Conv2dKernel(
-        weight,
-        bias,
-        kernel_size=tuple(meta["kernel_size"]),
-        stride=tuple(meta["stride"]),
-        padding=tuple(meta["padding"]),
-        out_channels=int(meta["out_channels"]),
-        activation=meta["activation"],
-    )
-
-
-def _pool_state(kind: str):
-    def state(kernel: _PoolKernel):
-        return {
-            "type": kind,
-            "kernel_size": list(kernel.kernel_size),
-            "stride": list(kernel.stride),
-        }, {}
-
-    return state
-
-
-def _pool_load(cls):
-    def load(meta, arrays, dtype):
-        return cls(tuple(meta["kernel_size"]), tuple(meta["stride"]))
-
-    return load
-
-
-def _layernorm_state(kernel: LayerNormKernel):
-    return {"type": "layernorm", "eps": float(kernel.eps)}, {
-        "gamma": kernel.gamma,
-        "beta": kernel.beta,
-    }
-
-
-def _lstm_weight_state(
-    name: str, weight: LSTMWeight, arrays: Dict[str, np.ndarray]
-) -> Dict[str, object]:
-    if isinstance(weight, _SPARSE_OPERANDS):
-        return _sparse_state(name, weight, arrays)
-    scale, arrays[name] = _weight_state(weight)
-    return {"kind": "dense", "scale": scale}
-
-
-def _lstm_weight_load(
-    name: str, spec: Mapping[str, object], arrays: Mapping[str, np.ndarray], dtype
-) -> LSTMWeight:
-    if spec["kind"] in ("sparse", "block"):
-        return _sparse_load(name, spec, arrays, dtype)
-    return _weight_load(arrays[name], spec["scale"], dtype)
-
-
-def _lstm_state(kernel: LSTMKernel):
-    arrays: Dict[str, np.ndarray] = {}
-    layer_meta: List[Dict[str, object]] = []
-    for index, (w_ih, w_hh, bias) in enumerate(kernel.layers):
-        entry = {
-            "ih": _lstm_weight_state(f"l{index}.w_ih", w_ih, arrays),
-            "hh": _lstm_weight_state(f"l{index}.w_hh", w_hh, arrays),
-        }
-        arrays[f"l{index}.bias"] = bias
-        layer_meta.append(entry)
-    return {
-        "type": "lstm",
-        "hidden_size": kernel.hidden_size,
-        "layers": layer_meta,
-    }, arrays
-
-
-def _lstm_load(meta, arrays, dtype):
-    if "layers" in meta:
-        specs = meta["layers"]
-    else:  # legacy dense-only payloads carried a flat scale list
-        specs = [
-            {"ih": {"kind": "dense", "scale": s_ih},
-             "hh": {"kind": "dense", "scale": s_hh}}
-            for s_ih, s_hh in meta["scales"]
-        ]
-    layers = [
-        (
-            _lstm_weight_load(f"l{index}.w_ih", spec["ih"], arrays, dtype),
-            _lstm_weight_load(f"l{index}.w_hh", spec["hh"], arrays, dtype),
-            arrays[f"l{index}.bias"],
-        )
-        for index, spec in enumerate(specs)
-    ]
-    return LSTMKernel(layers, int(meta["hidden_size"]), dtype)
-
-
-def _encoder_state(kernel: EncoderBlockKernel):
-    arrays: Dict[str, np.ndarray] = {
-        "norm1.gamma": kernel.norm1[0],
-        "norm1.beta": kernel.norm1[1],
-        "norm2.gamma": kernel.norm2[0],
-        "norm2.beta": kernel.norm2[1],
-    }
-    pairs: Dict[str, object] = {}
-    for name, pair in (
-        ("q", kernel.qkv[0]),
-        ("k", kernel.qkv[1]),
-        ("v", kernel.qkv[2]),
-        ("attn_out", kernel.attn_out),
-        ("ff1", kernel.ff1),
-        ("ff2", kernel.ff2),
-    ):
-        pairs[name] = _pair_state(name, pair, arrays)
-    return {
-        "type": "encoder",
-        "n_heads": kernel.n_heads,
-        "d_model": kernel.d_model,
-        "eps1": float(kernel.norm1[2]),
-        "eps2": float(kernel.norm2[2]),
-        "pairs": pairs,
-    }, arrays
-
-
-def _encoder_load(meta, arrays, dtype):
-    pairs = {
-        name: _pair_load(name, pair_meta, arrays, dtype)
-        for name, pair_meta in meta["pairs"].items()
-    }
-    return EncoderBlockKernel(
-        n_heads=int(meta["n_heads"]),
-        d_model=int(meta["d_model"]),
-        norm1=(arrays["norm1.gamma"], arrays["norm1.beta"], float(meta["eps1"])),
-        qkv=[pairs["q"], pairs["k"], pairs["v"]],
-        attn_out=pairs["attn_out"],
-        norm2=(arrays["norm2.gamma"], arrays["norm2.beta"], float(meta["eps2"])),
-        ff1=pairs["ff1"],
-        ff2=pairs["ff2"],
-    )
-
-
-_KERNEL_SERIALIZERS: Dict[type, Callable] = {
-    DenseKernel: _dense_state,
-    SparseDenseKernel: _sparse_dense_state,
-    ActivationKernel: _activation_state,
-    Conv2dKernel: _conv_state,
-    MaxPool2dKernel: _pool_state("maxpool"),
-    AvgPool2dKernel: _pool_state("avgpool"),
-    FlattenKernel: lambda k: ({"type": "flatten"}, {}),
-    LayerNormKernel: _layernorm_state,
-    LSTMKernel: _lstm_state,
-    EncoderBlockKernel: _encoder_state,
-    PositionalEncodingKernel: lambda k: ({"type": "posenc", "d_model": k.d_model}, {}),
-    MeanOverTimeKernel: lambda k: ({"type": "mean-over-time"}, {}),
-    SoftmaxKernel: lambda k: ({"type": "softmax"}, {}),
-}
-
-_KERNEL_LOADERS: Dict[str, Callable] = {
-    "dense": _dense_load,
-    "sparse-dense": _sparse_dense_load,
-    "activation": lambda meta, arrays, dtype: ActivationKernel(meta["activation"]),
-    "conv2d": _conv_load,
-    "maxpool": _pool_load(MaxPool2dKernel),
-    "avgpool": _pool_load(AvgPool2dKernel),
-    "flatten": lambda meta, arrays, dtype: FlattenKernel(),
-    "layernorm": lambda meta, arrays, dtype: LayerNormKernel(
-        arrays["gamma"], arrays["beta"], float(meta["eps"])
-    ),
-    "lstm": _lstm_load,
-    "encoder": _encoder_load,
-    "posenc": lambda meta, arrays, dtype: PositionalEncodingKernel(
-        int(meta["d_model"])
-    ),
-    "mean-over-time": lambda meta, arrays, dtype: MeanOverTimeKernel(),
-    "softmax": lambda meta, arrays, dtype: SoftmaxKernel(),
-}

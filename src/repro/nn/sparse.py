@@ -32,11 +32,15 @@ BLAS GEMM, so sparse kernels match the dense/autograd oracle to the same
 specialised (arena-bound) execution of a sparse kernel *is* bit-for-bit
 equal to its own generic path, because both run the same gather/scale/
 reduce in the same order.
+
+Both operand types travel inside plan payloads by their ``transport``
+fields — the constructor arguments, read back from the attributes of the
+same name — through the generic encoder in :mod:`repro.nn.inference`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +49,7 @@ class ColumnSparseWeight:
     """A pruned matmul operand stored as padded compressed columns."""
 
     __slots__ = ("shape", "nnz", "kmax", "indices", "values", "_flat_indices")
+    transport = ("shape", "indices", "values")
 
     def __init__(self, shape: Tuple[int, int], indices: np.ndarray, values: np.ndarray) -> None:
         in_features, out_features = shape
@@ -124,7 +129,7 @@ class ColumnSparseWeight:
         return np.empty((n, self.shape[1] * self.kmax), dtype=dtype)
 
     # ------------------------------------------------------------------ #
-    # reporting / transport
+    # reporting
     # ------------------------------------------------------------------ #
     @property
     def density(self) -> float:
@@ -136,23 +141,6 @@ class ColumnSparseWeight:
     def nbytes(self) -> int:
         """Bytes actually held (padded values + indices), not dense bytes."""
         return int(self.values.nbytes + self.indices.nbytes)
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Transport payload; int64 indices round-trip across platforms."""
-        return {
-            "indices": self.indices.astype(np.int64),
-            "values": self.values,
-        }
-
-    @classmethod
-    def from_state(
-        cls, shape: Tuple[int, int], arrays: Dict[str, np.ndarray], dtype: np.dtype
-    ) -> "ColumnSparseWeight":
-        return cls(
-            shape,
-            np.asarray(arrays["indices"]),
-            np.asarray(arrays["values"], dtype=dtype),
-        )
 
     def __repr__(self) -> str:
         return (
@@ -218,6 +206,7 @@ class BlockSparseWeight:
         "_flat_indices",
         "_mat",
     )
+    transport = ("shape", "tile", "block_indices", "blocks", "groups")
 
     def __init__(
         self,
@@ -363,7 +352,7 @@ class BlockSparseWeight:
         return panels, prod
 
     # ------------------------------------------------------------------ #
-    # reporting / transport
+    # reporting
     # ------------------------------------------------------------------ #
     @property
     def density(self) -> float:
@@ -385,30 +374,6 @@ class BlockSparseWeight:
     def nbytes(self) -> int:
         """Bytes actually held (padded tile slab + indices), not dense bytes."""
         return int(self.blocks.nbytes + self.block_indices.nbytes)
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Transport payload; int64 indices round-trip across platforms."""
-        return {
-            "block_indices": self.block_indices.astype(np.int64),
-            "blocks": self.blocks,
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        shape: Tuple[int, int],
-        tile: Tuple[int, int],
-        arrays: Dict[str, np.ndarray],
-        dtype: np.dtype,
-        groups: int = 1,
-    ) -> "BlockSparseWeight":
-        return cls(
-            shape,
-            tile,
-            np.asarray(arrays["block_indices"]),
-            np.asarray(arrays["blocks"], dtype=dtype),
-            groups=groups,
-        )
 
     def __repr__(self) -> str:
         gtag = f", groups={self.groups}" if self.groups > 1 else ""

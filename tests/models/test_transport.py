@@ -409,3 +409,114 @@ class TestAutotunePayloadSeeding:
             assert all(worker_cache.get(key) is not None for key in keys)
         finally:
             set_default_cache(isolated_cache)
+
+
+def _archive(entries):
+    buffer = io.BytesIO()
+    np.savez(buffer, **entries)
+    return buffer.getvalue()
+
+
+def _rewritten(data, edit):
+    """``data`` re-archived after ``edit(entries, meta)`` changed it in place.
+
+    An ``edit`` that returns a string replaces the metadata text outright.
+    """
+    import json
+
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        entries = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(entries[InferencePlan.META_KEY]))
+    text = edit(entries, meta)
+    entries[InferencePlan.META_KEY] = np.asarray(
+        text if isinstance(text, str) else json.dumps(meta)
+    )
+    return _archive(entries)
+
+
+def _malformed_corpus():
+    """Bad payload bytes derived from one real 2-layer LSTM payload."""
+    model = EEGLSTM(LSTMConfig(hidden_size=8, num_layers=2), seed=0)
+    model.ensure_network(N_CHANNELS, WINDOW)
+    data = model.ensure_compiled().to_payload()
+    size = len(data)
+    corpus = {
+        f"truncated-at-{n}": data[:n]
+        for n in (0, 1, 4, 30, size // 4, size // 2, size - 22, size - 1)
+    }
+    corpus["not-a-zip"] = b"this is not a plan payload " * 8
+    npy = io.BytesIO()
+    np.save(npy, np.arange(4.0))
+    corpus["npy-not-npz"] = npy.getvalue()
+    middle = bytearray(data)
+    middle[size // 2 : size // 2 + 16] = bytes(16)
+    corpus["zeroed-middle"] = bytes(middle)
+    corpus["bad-json"] = _rewritten(data, lambda entries, meta: "{not json")
+    corpus["json-not-an-object"] = _rewritten(data, lambda entries, meta: "[1, 2]")
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        arrays = [name for name in archive.files if name != InferencePlan.META_KEY]
+        corpus["no-meta"] = _archive({name: archive[name] for name in arrays})
+    assert len(arrays) >= 7  # 2 LSTM layers x 3 + the dense head
+    for name in arrays:
+        corpus[f"dropped-{name}"] = _rewritten(
+            data, lambda entries, meta, name=name: entries.pop(name)
+        )
+    corpus["dropped-field"] = _rewritten(
+        data, lambda entries, meta: meta["kernels"][0]["fields"].pop("hidden_size")
+    )
+    corpus["unknown-type"] = _rewritten(
+        data, lambda entries, meta: meta["kernels"][0].update(type="WarpKernel")
+    )
+    corpus["v1-format"] = _rewritten(
+        data, lambda entries, meta: meta.update(format="repro-inference-plan-v1")
+    )
+    corpus["no-family"] = _rewritten(
+        data, lambda entries, meta: meta["classifier"].pop("family")
+    )
+    corpus["bad-autotune"] = _rewritten(
+        data, lambda entries, meta: meta.update(autotune={"entries": [1, 2]})
+    )
+    corpus["bad-revision"] = _rewritten(
+        data, lambda entries, meta: meta["classifier"].update(revision="seven")
+    )
+    return corpus
+
+
+_CORPUS = _malformed_corpus()
+
+
+class TestMalformedPayloadCorpus:
+    """Bad input fails with :class:`PlanTransportError`, never a zip, npy,
+    JSON or lookup error, and never hangs."""
+
+    @pytest.mark.parametrize("case", sorted(_CORPUS))
+    def test_from_payload_raises_plan_transport_error(self, case):
+        with hard_timeout(30, what=f"malformed payload {case}"):
+            with pytest.raises(PlanTransportError):
+                CompiledClassifier.from_payload(_CORPUS[case])
+
+    @pytest.mark.parametrize("case", sorted(_CORPUS))
+    def test_payload_revision_reads_or_raises_plan_transport_error(self, case):
+        # The revision peek reads only the metadata entry: a payload whose
+        # damage lies elsewhere still reports its revision.
+        with hard_timeout(30, what=f"malformed payload revision {case}"):
+            try:
+                assert payload_revision(_CORPUS[case]) == 0
+            except PlanTransportError:
+                pass
+
+    def test_plan_from_an_open_corrupt_archive_raises(self):
+        data = _CORPUS["zeroed-middle"]
+        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            with pytest.raises(PlanTransportError, match="kernel 0"):
+                InferencePlan.from_payload(archive)
+
+    def test_errors_name_the_kernel_or_entry(self):
+        with pytest.raises(PlanTransportError, match=r"kernel 0: .*k0\.layers\.1\.2"):
+            CompiledClassifier.from_payload(_CORPUS["dropped-k0.layers.1.2"])
+        with pytest.raises(PlanTransportError, match="kernel 0: .*hidden_size"):
+            CompiledClassifier.from_payload(_CORPUS["dropped-field"])
+        with pytest.raises(PlanTransportError, match="WarpKernel"):
+            CompiledClassifier.from_payload(_CORPUS["unknown-type"])
+        with pytest.raises(PlanTransportError, match="repro-inference-plan-v1"):
+            CompiledClassifier.from_payload(_CORPUS["v1-format"])

@@ -8,6 +8,7 @@ from repro.nn.inference import (
     ActivationKernel,
     DenseKernel,
     InferencePlan,
+    Kernel,
     LSTMKernel,
     PlanCompilationError,
     SoftmaxKernel,
@@ -417,3 +418,170 @@ class TestBlockSparseSpecialization:
         assert plan.specialize(batch)
         plan(x)  # binds the arena
         assert np.array_equal(generic, plan(x))
+
+
+# ---------------------------------------------------------------------- #
+# Plan transport: every registered class round-trips bit-exact
+# ---------------------------------------------------------------------- #
+def _quantized(net, bits):
+    from repro.compression.quantization import make_plan_quantizer
+
+    return None if bits is None else make_plan_quantizer(net, bits)
+
+
+def _cnn_case(pool, bits):
+    from repro.nn.layers import AvgPool2d
+
+    net = _small_cnn_net()
+    if pool == "avg":
+        net.layers[2] = AvgPool2d(2)
+    plan = compile_network(net, quantizer=_quantized(net, bits))
+    return plan, np.random.default_rng(20).standard_normal((5, 1, 8, 10))
+
+
+def _lstm_case(bits):
+    net = Sequential(
+        LSTM(input_size=6, hidden_size=24, num_layers=2, seed=3),
+        Dense(24, 3, seed=4),
+    )
+    plan = compile_network(net, quantizer=_quantized(net, bits))
+    return plan, np.random.default_rng(21).standard_normal((4, 9, 6))
+
+
+def _encoder_case(bits):
+    from repro.nn.inference import MeanOverTimeKernel, PositionalEncodingKernel
+
+    net = _small_encoder_net()
+    body = compile_network(net, quantizer=_quantized(net, bits)).kernels
+    plan = InferencePlan(
+        [PositionalEncodingKernel(16)] + body[:1] + [MeanOverTimeKernel()]
+        + body[1:] + [SoftmaxKernel()]
+    )
+    return plan, np.random.default_rng(22).standard_normal((3, 9, 16))
+
+
+def _flatten_activation_case():
+    from repro.nn.layers import Tanh
+
+    plan = compile_network(Sequential(Flatten(), Tanh(), Dense(6, 2, seed=0)))
+    return plan, np.random.default_rng(23).standard_normal((4, 2, 3))
+
+
+def _tile_pruned(shape, seed):
+    """A float32 matrix with about half of its (8, 8) tiles zeroed."""
+    rng = np.random.default_rng(seed)
+    dense = (0.3 * rng.standard_normal(shape)).astype(np.float32)
+    tiles = dense.reshape(shape[0] // 8, 8, shape[1] // 8, 8)
+    tiles *= (rng.random((shape[0] // 8, shape[1] // 8)) < 0.5)[:, None, :, None]
+    return dense
+
+
+def _sparse_case(kind, host):
+    from repro.nn.inference import SparseDenseKernel
+    from repro.nn.sparse import BlockSparseWeight, ColumnSparseWeight
+
+    operand = {
+        "ell": ColumnSparseWeight.from_dense,
+        "block": lambda m: BlockSparseWeight.from_dense(m, (8, 8)),
+        "fused": lambda m: BlockSparseWeight.from_dense(m, (8, 8), groups=4),
+    }[kind]
+    rng = np.random.default_rng(24)
+    bias = (0.1 * rng.standard_normal(64)).astype(np.float32)
+    if host == "dense":
+        kernel = SparseDenseKernel(operand(_tile_pruned((16, 64), 25)), bias, "tanh")
+        x = rng.standard_normal((5, 16))
+    else:
+        layer = (
+            operand(_tile_pruned((16, 64), 26)),
+            operand(_tile_pruned((16, 64), 27)),
+            bias,
+        )
+        kernel = LSTMKernel([layer], 16, np.dtype(np.float32))
+        x = rng.standard_normal((3, 7, 16))
+    return InferencePlan([kernel, SoftmaxKernel()]), x
+
+
+_TRANSPORT_CASES = {
+    **{
+        f"cnn-{pool}-{bits or 'f32'}": (lambda p=pool, b=bits: _cnn_case(p, b))
+        for pool in ("max", "avg")
+        for bits in (None, 8, 16)
+    },
+    **{
+        f"lstm-{bits or 'f32'}": (lambda b=bits: _lstm_case(b))
+        for bits in (None, 8, 16)
+    },
+    **{
+        f"encoder-{bits or 'f32'}": (lambda b=bits: _encoder_case(b))
+        for bits in (None, 8, 16)
+    },
+    "flatten-activation": _flatten_activation_case,
+    **{
+        f"{host}-{kind}": (lambda k=kind, h=host: _sparse_case(k, h))
+        for kind in ("ell", "block", "fused")
+        for host in ("dense", "lstm")
+    },
+}
+
+
+def _through_archive(plan):
+    """``plan`` rebuilt from its payload written to and read from ``.npz`` bytes."""
+    import io
+
+    buffer = io.BytesIO()
+    np.savez(buffer, **plan.to_payload())
+    with np.load(io.BytesIO(buffer.getvalue()), allow_pickle=False) as archive:
+        return InferencePlan.from_payload({n: archive[n] for n in archive.files})
+
+
+def _transported_classes(value, seen):
+    from repro.nn.inference import _TRANSPORTABLE
+
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _transported_classes(item, seen)
+    elif _TRANSPORTABLE.get(type(value).__name__) is type(value):
+        seen.add(type(value))
+        for name in type(value).transport:
+            _transported_classes(getattr(value, name), seen)
+    return seen
+
+
+class TestTransportRegistry:
+    @pytest.mark.parametrize("case", sorted(_TRANSPORT_CASES))
+    def test_round_trips_bit_exact(self, case):
+        plan, x = _TRANSPORT_CASES[case]()
+        expected = plan(x).copy()
+        assert np.unique(expected).size > 1  # a degenerate output proves nothing
+        copy = plan
+        for _ in range(2):
+            copy = _through_archive(copy)
+            assert copy.describe() == plan.describe()
+            assert copy.nbytes == plan.nbytes  # quantized weights ship as ints
+            assert np.array_equal(copy(x), expected)
+            assert copy.specialize(x.shape[0])
+            assert np.array_equal(copy(x), expected)  # arena == generic
+            assert copy.specialization_stats()["specialized_calls"] == 1
+
+    def test_cases_cover_every_registered_class(self):
+        from repro.nn.inference import _TRANSPORTABLE
+
+        seen = set()
+        for build in _TRANSPORT_CASES.values():
+            _transported_classes(build()[0].kernels, seen)
+        assert seen == set(_TRANSPORTABLE.values())
+
+    def test_every_library_kernel_is_registered(self):
+        import inspect
+
+        from repro.nn import inference
+
+        concrete = {
+            cls
+            for _, cls in inspect.getmembers(inference, inspect.isclass)
+            if issubclass(cls, Kernel)
+            and cls.__module__ == inference.__name__
+            and cls.__call__ is not Kernel.__call__
+        }
+        assert {DenseKernel, LSTMKernel, SoftmaxKernel} <= concrete  # not vacuous
+        assert concrete <= set(inference._TRANSPORTABLE.values())

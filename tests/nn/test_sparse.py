@@ -10,6 +10,7 @@ from repro.nn.inference import (
     DenseKernel,
     InferencePlan,
     LSTMKernel,
+    PlanTransportError,
     SoftmaxKernel,
     SparseDenseKernel,
     SparsityConfig,
@@ -206,23 +207,18 @@ class TestSparseTransport:
         x = np.random.default_rng(9).standard_normal((3, 7, 6))
         assert np.array_equal(plan(x), rebuilt(x))
 
-    def test_legacy_dense_lstm_payload_still_loads(self):
-        """Pre-sparse payloads carried a flat per-layer scale list."""
+    def test_v1_payload_is_rejected_naming_the_format(self):
+        """Hand-serialized v1 payloads have no reader: a typed refusal."""
         lstm = LSTM(input_size=4, hidden_size=8, seed=3)
         plan = compile_network(Sequential(lstm), sparsity=TINY_DENSE)
         payload = plan.to_payload()
         import json
 
         meta = json.loads(str(payload[InferencePlan.META_KEY]))
-        kernel_meta = meta["kernels"][0]
-        kernel_meta["scales"] = [
-            [entry["ih"]["scale"], entry["hh"]["scale"]]
-            for entry in kernel_meta.pop("layers")
-        ]
+        meta["format"] = "repro-inference-plan-v1"
         payload[InferencePlan.META_KEY] = np.asarray(json.dumps(meta))
-        rebuilt = InferencePlan.from_payload(payload)
-        x = np.random.default_rng(10).standard_normal((2, 6, 4))
-        assert np.array_equal(plan(x), rebuilt(x))
+        with pytest.raises(PlanTransportError, match="repro-inference-plan-v1"):
+            InferencePlan.from_payload(payload)
 
 
 # ---------------------------------------------------------------------- #
@@ -241,6 +237,12 @@ def _block_pruned(shape, tile, keep=0.2, seed=0, dtype=np.float32):
     tiles = dense.reshape(n_row, th, n_col, tw)
     tiles *= mask.reshape(n_row, n_col)[:, None, :, None]
     return dense
+
+
+def _round_trip_operand(weight):
+    """``weight`` after a plan payload round trip, as a bias-free kernel."""
+    plan = InferencePlan([SparseDenseKernel(weight, None)])
+    return InferencePlan.from_payload(plan.to_payload()).kernels[0].weight
 
 
 class TestBlockSparseWeight:
@@ -294,9 +296,7 @@ class TestBlockSparseWeight:
     def test_state_round_trips_exactly(self):
         dense = _block_pruned((32, 16), (16, 1), seed=6)
         weight = BlockSparseWeight.from_dense(dense, (16, 1))
-        rebuilt = BlockSparseWeight.from_state(
-            weight.shape, weight.tile, weight.state_arrays(), np.float32
-        )
+        rebuilt = _round_trip_operand(weight)
         x = np.random.default_rng(7).standard_normal((4, 32)).astype(np.float32)
         assert np.array_equal(weight.matmul(x), rebuilt.matmul(x))
 
@@ -375,9 +375,7 @@ class TestFusedGateSlabs:
     def test_fused_state_round_trips_exactly(self):
         dense = _gate_coupled_pruned(seed=38)
         fused = BlockSparseWeight.from_dense(dense, (8, 8), groups=4)
-        rebuilt = BlockSparseWeight.from_state(
-            fused.shape, fused.tile, fused.state_arrays(), np.float32, groups=4
-        )
+        rebuilt = _round_trip_operand(fused)
         assert rebuilt.groups == 4
         x = np.random.default_rng(39).standard_normal((4, 64)).astype(np.float32)
         assert np.array_equal(fused.matmul(x), rebuilt.matmul(x))

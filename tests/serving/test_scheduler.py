@@ -606,3 +606,57 @@ class TestWorkerDeathRequeue:
         assert scheduler.superseded_by_session["s1"] == 1
         assert len(scheduler.get_session("s1").applied) == 1
         assert len(scheduler.get_session("s2").applied) == 1
+
+
+class TestCorruptPlanSwap:
+    """A corrupt ``PlanSwap`` payload is refused before anything changes."""
+
+    @staticmethod
+    def _fleet():
+        from repro.models.lstm_model import EEGLSTM, LSTMConfig
+
+        classifier = EEGLSTM(LSTMConfig(hidden_size=8), seed=4)
+        classifier.ensure_network(4, 50)
+        clock = FakeClock()
+        scheduler = AsyncFleetScheduler(
+            classifier,
+            scheduler_config=SchedulerConfig(deadline_s=DEADLINE_S, max_batch_size=2),
+            clock=clock,
+        )
+        for i in range(2):
+            scheduler.add_session(
+                ScriptedSession(f"s{i}", n_channels=4, window_size=50, seed=i)
+            )
+        return scheduler, clock
+
+    @staticmethod
+    def _serve(scheduler, clock, rounds):
+        for _ in range(rounds):
+            for i in range(2):  # the batch fills: each round flushes inline
+                scheduler.submit(f"s{i}")
+            clock.advance(1.0)
+
+    def test_truncated_payload_leaves_plan_and_probabilities_unchanged(self):
+        from repro.nn.inference import PlanTransportError
+
+        swapped, clock = self._fleet()
+        control, control_clock = self._fleet()
+        self._serve(swapped, clock, 2)
+        self._serve(control, control_clock, 2)
+        version = swapped.plan_version("default")
+        live = swapped.router.classifier_for("default")
+        payload = live.ensure_compiled().to_payload()
+        with pytest.raises(PlanTransportError):
+            swapped.swap_plan("default", payload=payload[: len(payload) // 2])
+        assert swapped.plan_version("default") == version
+        assert swapped.plan_swaps == 0
+        self._serve(swapped, clock, 2)
+        self._serve(control, control_clock, 2)
+        swapped.drain()
+        control.drain()
+        for mine, theirs in zip(swapped.sessions, control.sessions):
+            assert mine.labels_emitted() == theirs.labels_emitted() == 4
+            for (p_mine, _), (p_theirs, _) in zip(mine.applied, theirs.applied):
+                np.testing.assert_array_equal(p_mine, p_theirs)
+        swapped.shutdown()
+        control.shutdown()
