@@ -32,9 +32,10 @@ class LatencyProfile:
     #: is neural; ``None`` otherwise.
     autograd_latency_s: Optional[float] = None
     #: Transient allocation high-water of one steady-state ``predict_proba``
-    #: call (tracemalloc peak delta, bytes).  A generic plan allocates every
-    #: intermediate here; a shape-specialised plan stays within numpy's
-    #: constant-size iteration buffers regardless of model or batch size.
+    #: call (tracemalloc peak delta, bytes).  Plan intermediates live in
+    #: bound arenas either way: an unspecialised call adds its output copy
+    #: and the preprocessing temporaries, a shape-specialised call stays
+    #: within numpy's constant-size iteration buffers.
     alloc_peak_bytes: Optional[int] = None
     #: Net new live allocation blocks after one steady-state call — retained
     #: garbage, ~0 for both plan modes.
@@ -168,9 +169,8 @@ def profile_classifier(
 
     ``specialize=True`` pre-binds the plan's scratch arena for the example
     batch size before profiling, so the report shows the zero-allocation
-    steady state (:attr:`LatencyProfile.alloc_peak_bytes` collapsing from
-    megabytes to numpy's constant iteration buffers is the observable
-    claim); allocation profiling itself runs after the latency timing with
+    steady state (:attr:`LatencyProfile.alloc_peak_bytes` dropping to
+    numpy's constant iteration buffers is the observable claim); allocation profiling itself runs after the latency timing with
     tracemalloc off, so it never skews the measured latency.
     """
     device = device or EdgeDeviceModel()

@@ -437,8 +437,8 @@ class NeuralEEGClassifier(EEGClassifier):
         Compiles the plan if needed and pre-binds its scratch arena for
         ``batch_size`` (see :meth:`repro.nn.inference.InferencePlan
         .specialize`).  Returns ``False`` when the network is uncompilable
-        or the plan contains a kernel that cannot be bound — predictions
-        keep working through the generic path either way.
+        (predictions then keep working through the autograd path).  Other
+        batch sizes run through the plan's private arena and return a copy.
         """
         compiled = self.ensure_compiled()
         if compiled is None:

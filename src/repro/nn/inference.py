@@ -35,11 +35,13 @@ Two execution refinements sit on top of the float plans:
   :class:`~repro.nn.sparse.ColumnSparseWeight`-backed kernels that only
   touch the surviving entries, so the paper's effective-parameter counts
   finally translate into measured latency (§III-E1).
-* **Shape specialisation** — :meth:`InferencePlan.specialize` pre-binds
-  every intermediate and scratch buffer for one batch geometry into a
-  :class:`PlanArena`; steady-state calls then run with zero new array
-  allocations and are bit-for-bit equal to the generic path.  Calls with
-  any other geometry fall back to the generic kernels unchanged.
+* **Shape specialisation** — every kernel executes only through its
+  :meth:`Kernel.bind` form: a :class:`PlanArena` pre-binds every
+  intermediate and scratch buffer for one input geometry.
+  :meth:`InferencePlan.specialize` keeps arenas for chosen batch sizes,
+  whose steady-state calls allocate no new arrays; any other geometry runs
+  through one private arena, rebound when its shape changes, and returns a
+  copy of the output.
 
 The autograd path stays authoritative: classifiers keep it for training and
 as the numerical oracle the compiled plan is tested against (atol 1e-5).
@@ -76,7 +78,6 @@ from repro.nn.layers import (
     MaxPool2d,
     ReLU,
     Tanh,
-    _im2col,
 )
 from repro.nn.lstm import LSTM
 from repro.nn.module import Module
@@ -213,25 +214,26 @@ class BoundKernel:
 class Kernel:
     """One step of an :class:`InferencePlan`: a pure array transformation.
 
-    Kernels never mutate their input array (it may be caller-owned); any
-    state they keep is preallocated scratch space, which makes a plan cheap
-    to call but *not* safe to share across threads.
+    Kernels never mutate their input array; a plan executes them only
+    through :meth:`bind`, so all their working memory lives in the arena
+    that bound them, which makes a plan cheap to call but *not* safe to
+    share across threads.
     """
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
+    def bind(self, x: np.ndarray) -> BoundKernel:
         """Pre-bind this kernel to the fixed input array ``x``.
 
         Returns a :class:`BoundKernel` whose ``run()`` recomputes the
         kernel's output from the *current contents* of ``x`` into a
-        preallocated buffer — performing the exact same arithmetic as
-        :meth:`__call__`, in the same order, so the results are bit-for-bit
-        identical — or ``None`` when the kernel does not support
-        specialisation (custom kernels injected through ``inference_spec``).
+        preallocated buffer.  This is the kernel's only implementation.
+        An input the kernel cannot take (wrong rank, too small) raises
+        ``ValueError`` here, before any arena holds it.  Custom kernels
+        injected through ``inference_spec`` must override it.
         """
-        return None
+        raise PlanCompilationError(
+            f"kernel {type(self).__name__} defines no bind(); plans execute "
+            "kernels only through their bound form"
+        )
 
     @property
     def nbytes(self) -> int:
@@ -256,15 +258,6 @@ class DenseKernel(Kernel):
         self.weight = weight
         self.bias = bias
         self.activation = activation
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.compute
-        if self.weight.scale is not None:
-            out *= self.weight.scale
-        if self.bias is not None:
-            out += self.bias
-        _apply_activation_inplace(out, self.activation)
-        return out
 
     def bind(self, x: np.ndarray) -> BoundKernel:
         weight, bias, activation = self.weight, self.bias, self.activation
@@ -356,37 +349,31 @@ class SparseDenseKernel(Kernel):
         self.bias = bias
         self.activation = activation
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        lead = x.shape[:-1]
-        flat = x.reshape(-1, x.shape[-1]) if x.ndim != 2 else x
-        if isinstance(self.weight, BlockSparseWeight):
-            flat = np.ascontiguousarray(flat)  # panel gather reads th-runs
-        out = self.weight.matmul(flat)
-        if self.bias is not None:
-            out += self.bias
-        _apply_activation_inplace(out, self.activation)
-        return out.reshape(lead + (self.weight.shape[1],)) if x.ndim != 2 else out
-
-    def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
+    def bind(self, x: np.ndarray) -> BoundKernel:
         weight, bias, activation = self.weight, self.bias, self.activation
-        lead = x.shape[:-1]
-        if x.ndim != 2 and not x.flags.c_contiguous:
-            return None  # reshape would detach from the bound input buffer
-        if isinstance(weight, BlockSparseWeight) and not x.flags.c_contiguous:
-            return None  # the panel gather needs contiguous th-runs
-        flat = x.reshape(-1, x.shape[-1]) if x.ndim != 2 else x
+        # The operand reads a contiguous (rows, features) matrix: the panel
+        # gather needs contiguous th-runs, and a reshape of a strided input
+        # would detach from the bound buffer.  Such inputs are staged into
+        # a contiguous buffer bound once.
+        staged = None if x.flags.c_contiguous else np.empty(x.shape, dtype=x.dtype)
+        flat = (x if staged is None else staged).reshape(-1, x.shape[-1])
         n = flat.shape[0]
         scratch = _sparse_scratch(weight, n, x.dtype)
         out2d = np.empty((n, weight.shape[1]), dtype=x.dtype)
-        out = out2d.reshape(lead + (weight.shape[1],)) if x.ndim != 2 else out2d
+        out = out2d.reshape(x.shape[:-1] + (weight.shape[1],))
 
         def run() -> None:
+            if staged is not None:
+                np.copyto(staged, x)
             _matmul_into(weight, flat, out2d, scratch)
             if bias is not None:
                 np.add(out2d, bias, out=out2d)
             _apply_activation_inplace(out2d, activation)
 
-        return BoundKernel(run, out, scratch_nbytes=_sparse_scratch_nbytes(scratch))
+        staged_nbytes = 0 if staged is None else staged.nbytes
+        return BoundKernel(
+            run, out, scratch_nbytes=_sparse_scratch_nbytes(scratch) + staged_nbytes
+        )
 
     @property
     def nbytes(self) -> int:
@@ -410,11 +397,6 @@ class ActivationKernel(Kernel):
 
     def __init__(self, activation: str) -> None:
         self.activation = activation
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        _apply_activation_inplace(out, self.activation)
-        return out
 
     def bind(self, x: np.ndarray) -> BoundKernel:
         out = np.empty(x.shape, dtype=x.dtype)
@@ -463,51 +445,10 @@ class Conv2dKernel(Kernel):
         self.padding = padding
         self.out_channels = out_channels
         self.activation = activation
-        # Per-geometry padded-input buffers, reused across calls: the padding
-        # border is written once (zeros) and only the interior is refreshed,
-        # so the serving hot path skips np.pad's allocate-and-memset entirely.
-        # LRU-capped like the plan arenas: a fleet whose batch size churns
-        # must not pin one dead buffer per size it ever saw.
-        self._pad_buffers: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
 
-    #: Concurrently cached padded-input geometries on the generic path.
-    MAX_PAD_BUFFERS = 4
-
-    def _padded(self, x: np.ndarray) -> np.ndarray:
-        ph, pw = self.padding
-        if not (ph or pw):
-            return x
-        key = (x.shape, x.dtype.str)
-        buf = self._pad_buffers.get(key)
-        if buf is None:
-            batch, ch, height, width = x.shape
-            buf = np.zeros(
-                (batch, ch, height + 2 * ph, width + 2 * pw), dtype=x.dtype
-            )
-            self._pad_buffers[key] = buf
-            while len(self._pad_buffers) > self.MAX_PAD_BUFFERS:
-                self._pad_buffers.popitem(last=False)
-        else:
-            self._pad_buffers.move_to_end(key)
-        buf[:, :, ph : buf.shape[2] - ph, pw : buf.shape[3] - pw] = x
-        return buf
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def bind(self, x: np.ndarray) -> BoundKernel:
         if x.ndim != 4:
             raise ValueError("Conv2dKernel expects (batch, channels, height, width)")
-        x = self._padded(x)
-        patches, _, _ = _im2col(x, self.kernel_size, self.stride)
-        out = patches @ self.weight.compute  # (batch, out_h, out_w, out_ch)
-        if self.weight.scale is not None:
-            out *= self.weight.scale
-        if self.bias is not None:
-            out += self.bias
-        _apply_activation_inplace(out, self.activation)
-        return out.transpose(0, 3, 1, 2)
-
-    def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
-        if x.ndim != 4:
-            return None
         weight, bias, activation = self.weight, self.bias, self.activation
         ph, pw = self.padding
         batch, in_ch, height, width = x.shape
@@ -524,8 +465,10 @@ class Conv2dKernel(Kernel):
         sh, sw = self.stride
         out_h = (padded.shape[2] - kh) // sh + 1
         out_w = (padded.shape[3] - kw) // sw + 1
-        # The same strided window view _im2col builds, precomputed once (the
-        # padded source is a fixed array object), already transposed to the
+        if out_h <= 0 or out_w <= 0:
+            raise ValueError("Input too small for convolution window")
+        # The strided im2col window view, precomputed once (the padded
+        # source is a fixed array object), already transposed to the
         # (batch, out_h, out_w, in_ch, kh, kw) copy order.
         windows = np.lib.stride_tricks.as_strided(
             padded,
@@ -578,6 +521,10 @@ class _PoolKernel(Kernel):
         self.stride = stride
 
     def _patches(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 4:
+            raise ValueError(
+                f"{type(self).__name__} expects (batch, channels, height, width)"
+            )
         batch, ch, height, width = x.shape
         kh, kw = self.kernel_size
         sh, sw = self.stride
@@ -601,12 +548,7 @@ class MaxPool2dKernel(_PoolKernel):
     # The window view is built from x's own strides, so a non-contiguous
     # input (e.g. the channel-last transpose a Conv2dKernel returns) pools
     # directly — no defensive np.ascontiguousarray copy on the hot path.
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._patches(x).max(axis=(-1, -2))
-
-    def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
-        if x.ndim != 4:
-            return None
+    def bind(self, x: np.ndarray) -> BoundKernel:
         windows = self._patches(x)
         out = np.empty(windows.shape[:4], dtype=x.dtype)
 
@@ -620,19 +562,7 @@ class MaxPool2dKernel(_PoolKernel):
 
 
 class AvgPool2dKernel(_PoolKernel):
-    # Both paths reduce into a C-ordered buffer: a reduction's summation
-    # order follows its output layout, and ``.mean`` on the channel-last view
-    # a Conv2dKernel returns would sum in another order than the arena.
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        windows = self._patches(x)
-        out = np.empty(windows.shape[:4], dtype=x.dtype)
-        count = self.kernel_size[0] * self.kernel_size[1]
-        _mean_into(windows, (-1, -2), out, count, keepdims=False)
-        return out
-
-    def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
-        if x.ndim != 4:
-            return None
+    def bind(self, x: np.ndarray) -> BoundKernel:
         windows = self._patches(x)
         out = np.empty(windows.shape[:4], dtype=x.dtype)
         count = self.kernel_size[0] * self.kernel_size[1]
@@ -648,12 +578,6 @@ class AvgPool2dKernel(_PoolKernel):
 
 class FlattenKernel(Kernel):
     transport = ()
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        # reshape copies only when the layout actually demands it (the old
-        # unconditional ascontiguousarray forced that copy even for
-        # contiguous inputs).
-        return x.reshape(x.shape[0], -1)
 
     def bind(self, x: np.ndarray) -> BoundKernel:
         flat_shape = (x.shape[0], int(np.prod(x.shape[1:], dtype=np.intp)))
@@ -684,9 +608,6 @@ class LayerNormKernel(Kernel):
         self.beta = beta
         self.eps = eps
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _layer_norm(x, self.gamma, self.beta, self.eps)
-
     def bind(self, x: np.ndarray) -> BoundKernel:
         return _bind_layer_norm(x, self.gamma, self.beta, self.eps)
 
@@ -698,22 +619,10 @@ class LayerNormKernel(Kernel):
         return f"layernorm[{self.gamma.shape[0]}]"
 
 
-def _layer_norm(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
-) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    centred = x - mean
-    var = (centred * centred).mean(axis=-1, keepdims=True)
-    centred /= np.sqrt(var + eps)
-    centred *= gamma
-    centred += beta
-    return centred
-
-
 def _bind_layer_norm(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
 ) -> BoundKernel:
-    """Buffer-bound :func:`_layer_norm`: same ops in the same order."""
+    """Layer norm over the last axis of ``x``, bound to fixed buffers."""
     features = x.shape[-1]
     stat_shape = x.shape[:-1] + (1,)
     mean = np.empty(stat_shape, dtype=x.dtype)
@@ -737,15 +646,16 @@ def _bind_layer_norm(
     )
 
 
-def _softmax_lastaxis_inplace(a: np.ndarray) -> None:
-    a -= a.max(axis=-1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
-
-
 #: A projection operand inside the LSTM kernel: dense (extracted at compile
 #: time, possibly integer-scaled) or column-compressed for pruned models.
 LSTMWeight = Union[PlanWeight, ColumnSparseWeight, BlockSparseWeight]
+
+
+def _operand_shape(weight: LSTMWeight) -> Tuple[int, int]:
+    """``(in_features, out_features)`` of a dense or sparse matmul operand."""
+    if isinstance(weight, _SPARSE_OPERANDS):
+        return tuple(weight.shape)
+    return weight.compute.shape
 
 
 class LSTMKernel(Kernel):
@@ -754,8 +664,8 @@ class LSTMKernel(Kernel):
     Per layer, the input-to-hidden projection of *every* timestep is computed
     with a single ``(batch*time, in) @ (in, 4H)`` matmul up front; the
     timestep loop then only performs the hidden-to-hidden matvec and the gate
-    nonlinearities, in place, on gate/state buffers preallocated once per
-    batch size and reused across timesteps and calls.
+    nonlinearities, in place, on gate/state buffers bound once per input
+    geometry and reused across timesteps and calls.
 
     The compiler permutes the gate columns from the cell's ``[i, f, g, o]``
     layout to ``[i, f, o, g]`` so the three sigmoid gates form one contiguous
@@ -779,86 +689,13 @@ class LSTMKernel(Kernel):
         self.layers = list(layers)
         self.hidden_size = hidden_size
         self.dtype = dtype
-        self._buffers: Dict[int, Dict[str, np.ndarray]] = {}
 
-    def _buffers_for(self, batch: int) -> Dict[str, object]:
-        buf = self._buffers.get(batch)
-        if buf is None:
-            hs = self.hidden_size
-            buf = {
-                "h": np.empty((batch, hs), dtype=self.dtype),
-                "c": np.empty((batch, hs), dtype=self.dtype),
-                "hh": np.empty((batch, 4 * hs), dtype=self.dtype),
-                "tmp": np.empty((batch, hs), dtype=self.dtype),
-            }
-            for index, (_, w_hh, _) in enumerate(self.layers):
-                if isinstance(w_hh, _SPARSE_OPERANDS):
-                    buf[f"hh_scratch{index}"] = _sparse_scratch(
-                        w_hh, batch, self.dtype
-                    )
-            self._buffers[batch] = buf
-        return buf
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3:
-            raise ValueError("LSTMKernel expects (batch, time, features) input")
-        batch, steps, _ = x.shape
-        hs = self.hidden_size
-        buf = self._buffers_for(batch)
-        h, c, hh, tmp = buf["h"], buf["c"], buf["hh"], buf["tmp"]
-        # The projection is kept *time-major* — (steps, batch, 4H) — so every
-        # per-timestep gate slab the recurrence touches is one contiguous
-        # block: the gate ufuncs run their fast contiguous loops instead of
-        # numpy's buffered strided iteration.  Each element's arithmetic is
-        # unchanged (a pure row reordering of the projection matmul).
-        layer_input: Optional[np.ndarray] = None  # time-major from layer 1 on
-        for index, (w_ih, w_hh, bias) in enumerate(self.layers):
-            if layer_input is None:
-                flat = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(
-                    batch * steps, -1
-                )
-            else:
-                flat = layer_input.reshape(batch * steps, -1)
-            if isinstance(w_ih, _SPARSE_OPERANDS):
-                proj = w_ih.matmul(flat)
-            else:
-                proj = flat @ w_ih.compute
-                if w_ih.scale is not None:
-                    proj *= w_ih.scale
-            proj += bias
-            proj = proj.reshape(steps, batch, 4 * hs)
-            h[:] = 0.0
-            c[:] = 0.0
-            last_layer = index == len(self.layers) - 1
-            seq_out = (
-                None if last_layer else np.empty((steps, batch, hs), dtype=self.dtype)
+    def bind(self, x: np.ndarray) -> BoundKernel:
+        features = _operand_shape(self.layers[0][0])[0]
+        if x.ndim != 3 or not x.size or x.shape[2] != features:
+            raise ValueError(
+                f"LSTMKernel expects (batch, time, {features}) input, got {x.shape}"
             )
-            hh_scratch = buf.get(f"hh_scratch{index}")
-            for step in range(steps):
-                gates = proj[step]
-                _matmul_into(w_hh, h, hh, hh_scratch)
-                gates += hh
-                # Gate columns were permuted at compile time to [i, f, o, g].
-                i_gate = gates[:, 0:hs]
-                f_gate = gates[:, hs : 2 * hs]
-                o_gate = gates[:, 2 * hs : 3 * hs]
-                g_gate = gates[:, 3 * hs : 4 * hs]
-                _sigmoid_inplace(gates[:, 0 : 3 * hs])
-                np.tanh(g_gate, out=g_gate)
-                c *= f_gate
-                np.multiply(i_gate, g_gate, out=tmp)
-                c += tmp
-                np.tanh(c, out=tmp)
-                np.multiply(o_gate, tmp, out=h)
-                if seq_out is not None:
-                    seq_out[step] = h
-            if seq_out is not None:
-                layer_input = seq_out
-        return h.copy()
-
-    def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
-        if x.ndim != 3:
-            return None
         batch, steps, _ = x.shape
         hs = self.hidden_size
         dtype = self.dtype
@@ -873,7 +710,10 @@ class LSTMKernel(Kernel):
         for index, (w_ih, w_hh, bias) in enumerate(self.layers):
             if cur is None:
                 # Layer 0 reads the caller-shaped (batch, time, features)
-                # input; the time-major copy target is bound once.
+                # input; the time-major copy target is bound once.  Keeping
+                # the projection time-major, (steps, batch, 4H), makes every
+                # per-timestep gate slab one contiguous block, so the gate
+                # ufuncs run their fast contiguous loops.
                 x_tm = x.transpose(1, 0, 2)
                 if x_tm.flags.c_contiguous:  # batch == 1: transpose is free
                     src, copy_src = x_tm, None
@@ -998,45 +838,6 @@ class EncoderBlockKernel(Kernel):
         self.ff2 = ff2
 
     @staticmethod
-    def _project(
-        x: np.ndarray, weight_bias: Tuple[PlanWeight, Optional[np.ndarray]]
-    ) -> np.ndarray:
-        weight, bias = weight_bias
-        out = x @ weight.compute
-        if weight.scale is not None:
-            out *= weight.scale
-        if bias is not None:
-            out += bias
-        return out
-
-    def _split_heads(self, x: np.ndarray, batch: int, steps: int) -> np.ndarray:
-        return x.reshape(batch, steps, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3:
-            raise ValueError("EncoderBlockKernel expects (batch, time, d_model)")
-        batch, steps, _ = x.shape
-        gamma1, beta1, eps1 = self.norm1
-        normed = _layer_norm(x, gamma1, beta1, eps1)
-        q = self._split_heads(self._project(normed, self.qkv[0]), batch, steps)
-        k = self._split_heads(self._project(normed, self.qkv[1]), batch, steps)
-        v = self._split_heads(self._project(normed, self.qkv[2]), batch, steps)
-        scores = q @ k.transpose(0, 1, 3, 2)
-        scores *= 1.0 / math.sqrt(self.d_head)
-        _softmax_lastaxis_inplace(scores)
-        context = scores @ v
-        merged = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(
-            batch, steps, self.d_model
-        )
-        x = x + self._project(merged, self.attn_out)
-        gamma2, beta2, eps2 = self.norm2
-        normed2 = _layer_norm(x, gamma2, beta2, eps2)
-        hidden = self._project(normed2, self.ff1)
-        np.maximum(hidden, 0.0, out=hidden)
-        x = x + self._project(hidden, self.ff2)
-        return x
-
-    @staticmethod
     def _bind_project(
         x: np.ndarray,
         weight_bias: Tuple[PlanWeight, Optional[np.ndarray]],
@@ -1053,9 +854,12 @@ class EncoderBlockKernel(Kernel):
 
         return run
 
-    def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
-        if x.ndim != 3:
-            return None
+    def bind(self, x: np.ndarray) -> BoundKernel:
+        if x.ndim != 3 or not x.shape[1] or x.shape[2] != self.d_model:
+            raise ValueError(
+                f"EncoderBlockKernel expects (batch, time, {self.d_model}), "
+                f"got {x.shape}"
+            )
         batch, steps, _ = x.shape
         d_model, d_head, n_heads = self.d_model, self.d_head, self.n_heads
         dtype = x.dtype
@@ -1137,29 +941,20 @@ class EncoderBlockKernel(Kernel):
 
 
 class PositionalEncodingKernel(Kernel):
-    """Add sinusoidal positional encodings (cached per sequence length)."""
+    """Add sinusoidal positional encodings (computed once per bind)."""
 
     transport = ("d_model",)
 
     def __init__(self, d_model: int) -> None:
         self.d_model = d_model
-        self._cache: Dict[int, np.ndarray] = {}
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        length = x.shape[1]
-        encoding = self._cache.get(length)
-        if encoding is None:
-            encoding = positional_encoding(length, self.d_model).astype(x.dtype)
-            self._cache[length] = encoding
-        return x + encoding[None, :, :]
-
-    def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
-        if x.ndim != 3:
-            return None
-        encoding = self._cache.get(x.shape[1])
-        if encoding is None or encoding.dtype != x.dtype:
-            encoding = positional_encoding(x.shape[1], self.d_model).astype(x.dtype)
-            self._cache[x.shape[1]] = encoding
+    def bind(self, x: np.ndarray) -> BoundKernel:
+        if x.ndim != 3 or x.shape[2] != self.d_model:
+            raise ValueError(
+                f"PositionalEncodingKernel expects (batch, time, {self.d_model}), "
+                f"got {x.shape}"
+            )
+        encoding = positional_encoding(x.shape[1], self.d_model).astype(x.dtype)
         broadcast = encoding[None, :, :]
         out = np.empty(x.shape, dtype=x.dtype)
 
@@ -1177,12 +972,9 @@ class MeanOverTimeKernel(Kernel):
 
     transport = ()
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return x.mean(axis=1)
-
-    def bind(self, x: np.ndarray) -> Optional[BoundKernel]:
+    def bind(self, x: np.ndarray) -> BoundKernel:
         if x.ndim < 2:
-            return None
+            raise ValueError("MeanOverTimeKernel expects (batch, time, ...)")
         out = np.empty(x.shape[:1] + x.shape[2:], dtype=x.dtype)
 
         def run() -> None:
@@ -1204,17 +996,12 @@ class SoftmaxKernel(Kernel):
 
     transport = ()
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        z = x.astype(np.float64)
-        _softmax_lastaxis_inplace(z)
-        return z
-
     def bind(self, x: np.ndarray) -> BoundKernel:
         z = np.empty(x.shape, dtype=np.float64)
         stat = np.empty(x.shape[:-1] + (1,), dtype=np.float64)
 
         def run() -> None:
-            np.copyto(z, x)  # the float64 upcast x.astype performs
+            np.copyto(z, x)  # the float64 upcast
             np.max(z, axis=-1, keepdims=True, out=stat)
             np.subtract(z, stat, out=z)
             np.exp(z, out=z)
@@ -1233,16 +1020,17 @@ class SoftmaxKernel(Kernel):
 class PlanArena:
     """A plan pre-bound to one input geometry: zero-allocation execution.
 
-    Built by :meth:`InferencePlan.specialize` (directly or through the
-    auto-specialisation policy).  Every kernel's intermediates, scratch
-    space and per-step views are created once at bind time; ``run`` then
-    only copies the caller's input into the arena and replays the bound
-    kernels, allocating no new arrays.
+    Every plan call runs through one: the arenas :meth:`InferencePlan
+    .specialize` (directly or through the auto-specialisation policy) keeps
+    per batch size, or the plan's private arena for any other geometry.
+    Every kernel's intermediates, scratch space and per-step views are
+    created once at bind time; ``run`` then only copies the caller's input
+    into the arena and replays the bound kernels, allocating no new arrays.
 
     The returned output is an **arena-owned buffer**: it is valid until the
-    next call into the same plan with the same geometry.  Callers that
-    retain probabilities across calls must copy them (the serving stack's
-    ``MicroBatcher.finalize`` does).
+    next call into the same arena.  A specialised plan hands it out as is,
+    so callers that retain probabilities across calls must copy them (the
+    serving stack's ``MicroBatcher.finalize`` does).
     """
 
     def __init__(self, kernels: Sequence[Kernel], example: np.ndarray) -> None:
@@ -1251,11 +1039,6 @@ class PlanArena:
         cur: np.ndarray = self.input
         for kernel in kernels:
             bound = kernel.bind(cur)
-            if bound is None:
-                raise PlanCompilationError(
-                    f"kernel {type(kernel).__name__} does not support shape "
-                    "specialisation"
-                )
             self.bound.append(bound)
             cur = bound.out
         self.output = cur
@@ -1289,15 +1072,10 @@ def _derive_lowering(kernels: Sequence[Kernel]) -> List[Dict[str, object]]:
     report: List[Dict[str, object]] = []
 
     def entry(op: str, weight: LSTMWeight) -> None:
-        shape = (
-            list(weight.shape)
-            if isinstance(weight, _SPARSE_OPERANDS)
-            else list(weight.compute.shape)
-        )
         report.append(
             {
                 "op": op,
-                "shape": shape,
+                "shape": list(_operand_shape(weight)),
                 "variant": _operand_variant(weight),
                 "cached": None,
                 "timings": {},
@@ -1318,11 +1096,13 @@ def _derive_lowering(kernels: Sequence[Kernel]) -> List[Dict[str, object]]:
 class InferencePlan:
     """A compiled network: a flat list of kernels applied in order.
 
-    Calls run the generic kernels by default.  :meth:`specialize` (or the
-    :meth:`enable_auto_specialization` policy) pre-binds arenas for chosen
-    batch sizes; calls whose input matches a bound geometry execute with
-    zero array allocations and bit-for-bit the generic result, every other
-    geometry falls through to the generic path unchanged.
+    Every call executes through a :class:`PlanArena`.  :meth:`specialize`
+    (or the :meth:`enable_auto_specialization` policy) keeps arenas for
+    chosen batch sizes; calls whose input matches one execute with zero
+    array allocations and return the arena-owned output.  Every other
+    geometry runs through one private arena, reused while its shape repeats
+    and rebound when it changes, and returns a copy of its output; those
+    calls count as ``generic_calls``.
     """
 
     #: Default cap on concurrently held arenas (LRU-evicted, pinned batch
@@ -1339,7 +1119,10 @@ class InferencePlan:
         self._auto_streak: Optional[int] = None
         self._last_batch: Optional[int] = None
         self._batch_streak = 0
-        self._unbindable = False
+        #: The private arena of the last unspecialised geometry.  Not one of
+        #: ``_arenas``: never reported by :meth:`has_arena` or in the
+        #: specialisation stats.
+        self._unpinned: Optional[PlanArena] = None
         self.specialized_calls = 0
         self.generic_calls = 0
         #: Per-matmul lowering decisions captured at compile time (variant
@@ -1349,45 +1132,42 @@ class InferencePlan:
         self.lowering_records: List[Dict[str, object]] = []
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=self.dtype)
-        arena = self._arena_for(out)
+        x = np.asarray(x, dtype=self.dtype)
+        if x.ndim == 0:
+            raise ValueError("plan input needs a leading batch axis")
+        arena = self._arena_for(x)
         if arena is not None:
             self.specialized_calls += 1
-            return arena.run(out)
+            return arena.run(x)
         self.generic_calls += 1
-        for kernel in self.kernels:
-            out = kernel(out)
-        return out
+        if self._unpinned is None or self._unpinned.input.shape != x.shape:
+            self._unpinned = None  # release the old geometry before binding
+            self._unpinned = PlanArena(self.kernels, x)
+        return self._unpinned.run(x).copy()
 
     # ------------------------------------------------------------------ #
     # shape specialisation
     # ------------------------------------------------------------------ #
-    @property
-    def can_specialize(self) -> bool:
-        """Whether every kernel supports arena binding (checked lazily on
-        the first bind attempt; custom kernels without ``bind`` do not)."""
-        return not self._unbindable
-
     def specialize(self, batch_size: int) -> bool:
         """Pin ``batch_size`` for arena execution.
 
         The arena itself is built on the first call with that batch size
         (the full input geometry — channels, samples, layout — is only
-        known then).  Returns ``False`` when the plan contains a kernel
-        that cannot be bound; the plan keeps serving generically.
+        known then).  Always returns ``True``; a kernel that cannot bind
+        raises :class:`PlanCompilationError` on the first call instead.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self._unbindable:
-            return False
         self._pinned_batches.add(int(batch_size))
         return True
 
     def despecialize(self, batch_size: Optional[int] = None) -> None:
-        """Release arenas (and the pin) for one batch size, or all of them."""
+        """Release arenas (and the pin) for one batch size, or all of them
+        (the private arena of unspecialised calls included)."""
         if batch_size is None:
             self._pinned_batches.clear()
             self._arenas.clear()
+            self._unpinned = None
             return
         self._pinned_batches.discard(int(batch_size))
         for shape in [s for s in self._arenas if s[0] == batch_size]:
@@ -1426,8 +1206,6 @@ class InferencePlan:
         }
 
     def _arena_for(self, x: np.ndarray) -> Optional[PlanArena]:
-        if self._unbindable or x.ndim == 0:
-            return None
         shape = x.shape
         arena = self._arenas.get(shape)
         if arena is not None:
@@ -1443,11 +1221,10 @@ class InferencePlan:
             wanted = self._batch_streak >= self._auto_streak
         if not wanted:
             return None
-        try:
+        if self._unpinned is not None and self._unpinned.input.shape == shape:
+            arena, self._unpinned = self._unpinned, None  # already bound
+        else:
             arena = PlanArena(self.kernels, x)
-        except PlanCompilationError:
-            self._unbindable = True
-            return None
         self._arenas[shape] = arena
         self._evict_arenas()
         return arena
@@ -1488,8 +1265,9 @@ class InferencePlan:
 
     def append(self, kernel: Kernel) -> "InferencePlan":
         self.kernels.append(kernel)
-        self._arenas.clear()  # bound buffers no longer cover the full plan
-        self._unbindable = False
+        # Bound buffers no longer cover the full plan.
+        self._arenas.clear()
+        self._unpinned = None
         return self
 
     @property

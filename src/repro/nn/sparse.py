@@ -28,10 +28,10 @@ to the accumulation.
 
 Numerically the padded-column sum accumulates in a different order than a
 BLAS GEMM, so sparse kernels match the dense/autograd oracle to the same
-``1e-5`` tolerance the float32 plans are held to — not bit-for-bit.  The
-specialised (arena-bound) execution of a sparse kernel *is* bit-for-bit
-equal to its own generic path, because both run the same gather/scale/
-reduce in the same order.
+``1e-5`` tolerance the float32 plans are held to — not bit-for-bit.  A
+sparse kernel has one execution path, its arena-bound ``matmul`` into
+preallocated scratch, so every plan call runs the same gather/scale/reduce
+in the same order.
 
 Both operand types travel inside plan payloads by their ``transport``
 fields — the constructor arguments, read back from the attributes of the

@@ -193,9 +193,9 @@ class MicroBatcher:
         When ``True`` (the default) and the classifier serves from a
         compiled plan, the plan auto-specialises for the fleet's dominant
         batch sizes: after two consecutive flushes of the same size, the
-        plan pre-binds a zero-allocation scratch arena for that geometry
-        (bit-for-bit the generic result) and re-specialises when the cohort
-        resizes.  The scheduler passes ``False`` for remote executors —
+        plan keeps a zero-allocation scratch arena for that geometry and
+        re-specialises when the cohort resizes.  Other flushes run through
+        the plan's single private arena and receive a copy of its output.  The scheduler passes ``False`` for remote executors —
         workers specialise their own replicas, so binding arenas on the
         local plan would only hold memory that never serves.
     """

@@ -254,6 +254,25 @@ class SimulatedLoad:
         return self
 
 
+def block_prune_projections_separately(lstm, level):
+    """Gate-coupled block pruning of each LSTM projection on its own.
+
+    One global ranking over both projections removes the whole input
+    projection of a small LSTM (its tiles all score below the recurrent
+    ones), leaving an output that ignores the input.  Ranking each
+    projection alone keeps ``level`` of both pruned and both non-empty.
+    """
+    from repro.compression.pruning import apply_block_magnitude_pruning
+    from repro.nn.module import Module
+
+    for cell in lstm.cells:
+        for name in ("weight_ih", "weight_hh"):
+            holder = Module()
+            setattr(holder, name, getattr(cell, name))
+            apply_block_magnitude_pruning(holder, level)
+    return lstm
+
+
 def make_toy_dataset(
     n_per_class=20,
     n_channels=4,

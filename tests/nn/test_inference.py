@@ -18,6 +18,7 @@ from repro.nn.layers import Conv2d, Dense, Dropout, Flatten, LayerNorm, MaxPool2
 from repro.nn.lstm import LSTM
 from repro.nn.module import Module, Sequential
 from repro.nn.attention import TransformerEncoderLayer
+from tests.helpers import block_prune_projections_separately
 
 
 def _forward_autograd(module, x):
@@ -92,21 +93,6 @@ class TestRecurrentAndAttention:
         assert isinstance(plan.kernels[0], LSTMKernel)
         x = np.random.default_rng(6).standard_normal((4, 9, 6))
         np.testing.assert_allclose(plan(x), _forward_autograd(lstm, x), atol=1e-5)
-
-    def test_lstm_buffers_reused_across_calls_and_batches(self):
-        lstm = LSTM(input_size=3, hidden_size=5, seed=1)
-        plan = compile_network(lstm)
-        kernel = plan.kernels[0]
-        rng = np.random.default_rng(7)
-        first = plan(rng.standard_normal((2, 4, 3)))
-        assert len(kernel._buffers) == 1
-        plan(rng.standard_normal((6, 4, 3)))
-        assert len(kernel._buffers) == 2
-        # Same-batch calls reuse the same scratch buffers and must not
-        # corrupt previously returned outputs.
-        again = plan(rng.standard_normal((2, 4, 3)))
-        assert len(kernel._buffers) == 2
-        assert not np.shares_memory(first, again)
 
     def test_encoder_block_matches_autograd(self):
         layer = TransformerEncoderLayer(
@@ -205,6 +191,59 @@ def _small_encoder_net():
     )
 
 
+def _padded_conv_net():
+    return Sequential(Conv2d(1, 2, kernel_size=3, padding=2, seed=0))
+
+
+def _pool_plan(kind):
+    from repro.nn.inference import AvgPool2dKernel, MaxPool2dKernel
+
+    kernel = {"max": MaxPool2dKernel, "avg": AvgPool2dKernel}[kind]
+    return lambda: InferencePlan([kernel((2, 2), (2, 2))])
+
+
+def _posenc_plan():
+    from repro.nn.inference import PositionalEncodingKernel
+
+    return InferencePlan([PositionalEncodingKernel(16)])
+
+
+def _compiled(net_fn):
+    return lambda: compile_network(net_fn())
+
+
+#: case -> (plan builder, a good input shape, a bad one, the error's text).
+_BAD_INPUTS = {
+    "conv-rank": (_compiled(_small_cnn_net), (4, 1, 8, 10), (4, 8, 10),
+                  "Conv2dKernel expects"),
+    "conv-too-small": (
+        _compiled(lambda: Sequential(Conv2d(1, 2, kernel_size=3, seed=0))),
+        (4, 1, 6, 7), (4, 1, 2, 2), "too small for convolution",
+    ),
+    "maxpool-rank": (_pool_plan("max"), (4, 2, 6, 6), (4, 6, 6),
+                     "MaxPool2dKernel expects"),
+    "maxpool-too-small": (_pool_plan("max"), (4, 2, 6, 6), (4, 2, 1, 1),
+                          "too small for pooling"),
+    "avgpool-rank": (_pool_plan("avg"), (4, 2, 6, 6), (4, 6, 6),
+                     "AvgPool2dKernel expects"),
+    "avgpool-too-small": (_pool_plan("avg"), (4, 2, 6, 6), (4, 2, 1, 1),
+                          "too small for pooling"),
+    "lstm-rank": (_compiled(_small_lstm_net), (4, 9, 6), (4, 54),
+                  "LSTMKernel expects"),
+    "lstm-empty": (_compiled(_small_lstm_net), (4, 9, 6), (4, 0, 6),
+                   "LSTMKernel expects"),
+    "lstm-features": (_compiled(_small_lstm_net), (4, 9, 6), (4, 9, 5),
+                      "LSTMKernel expects"),
+    "encoder-rank": (_compiled(_small_encoder_net), (4, 6, 16), (4, 16),
+                     "EncoderBlockKernel expects"),
+    "encoder-empty": (_compiled(_small_encoder_net), (4, 6, 16), (4, 0, 16),
+                      "EncoderBlockKernel expects"),
+    "posenc-rank": (_posenc_plan, (4, 6, 16), (4, 16),
+                    "PositionalEncodingKernel expects"),
+    "posenc-empty": (_posenc_plan, (4, 6, 16), (4, 0, 16), "must be positive"),
+}
+
+
 class TestShapeSpecialization:
     @pytest.mark.parametrize("batch", [1, 7, 64])
     @pytest.mark.parametrize(
@@ -254,13 +293,45 @@ class TestShapeSpecialization:
             assert peak < bound, f"specialised peak {peak}B blows {bound}B"
             assert net_bytes < 4096, f"specialised call retains {net_bytes}B"
 
-    def test_generic_path_allocates_beyond_the_specialized_bound(self):
-        """Contrast for the assertion above: generic allocations scale."""
-        plan = compile_network(_small_lstm_net())
-        plan.append(SoftmaxKernel())
-        x = np.random.default_rng(1).standard_normal((32, 9, 6)).astype(np.float32)
-        _, generic_peak = _alloc_profile(lambda: plan(x))
-        assert generic_peak > 128 * 1024
+    def test_unpinned_steady_state_call_stays_under_the_bound(self):
+        """An unspecialised call reuses the plan's private arena: past its
+        first call at a geometry it allocates only the output copy."""
+        bound = 128 * 1024
+        for net_fn, shape in [
+            (_small_lstm_net, (9, 6)),
+            (_small_cnn_net, (1, 8, 10)),
+            (_small_encoder_net, (6, 16)),
+        ]:
+            plan = compile_network(net_fn())
+            plan.append(SoftmaxKernel())
+            x = np.random.default_rng(1).standard_normal((32,) + shape).astype(
+                np.float32
+            )
+            net_bytes, peak = _alloc_profile(lambda: plan(x))
+            assert peak < bound, f"unpinned peak {peak}B blows {bound}B"
+            assert net_bytes < 4096, f"unpinned call retains {net_bytes}B"
+            assert plan.specialized_calls == 0
+
+    @pytest.mark.parametrize(
+        "net_fn,shape",
+        [(_small_lstm_net, (9, 6)), (_padded_conv_net, (1, 6, 7))],
+        ids=["lstm", "padded-conv"],
+    )
+    def test_unpinned_calls_are_repeatable_and_own_their_output(
+        self, net_fn, shape
+    ):
+        plan = compile_network(net_fn())
+        rng = np.random.default_rng(9)
+        inputs = {b: rng.standard_normal((b,) + shape) for b in (2, 6)}
+        outs = [(b, plan(inputs[b])) for b in (2, 6, 2, 2, 6, 2)]
+        first = {}
+        for batch, out in outs:
+            assert np.array_equal(out, first.setdefault(batch, out))
+        for i, (_, a) in enumerate(outs):
+            for _, b in outs[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        assert plan.generic_calls == len(outs)
+        assert plan.specialization_stats()["arenas"] == 0
 
     def test_mismatched_batch_falls_back_to_generic(self):
         plan = compile_network(_small_lstm_net())
@@ -304,21 +375,45 @@ class TestShapeSpecialization:
         assert plan((np.asarray(x2))) is not None
         assert plan.specialization_stats()["arenas"] == 2
 
-    def test_custom_kernel_refuses_specialization_but_keeps_serving(self):
-        from repro.nn.inference import Kernel
+    def test_kernel_without_bind_raises_plan_compilation_error(self):
+        class Unbound(Kernel):
+            pass
+
+        plan = InferencePlan([Unbound()])
+        x = np.random.default_rng(6).standard_normal((2, 4))
+        with pytest.raises(PlanCompilationError, match="Unbound"):
+            plan(x)
+        plan.specialize(2)
+        with pytest.raises(PlanCompilationError, match="Unbound"):
+            plan(x)
+
+    def test_custom_kernel_with_bind_serves(self):
+        from repro.nn.inference import BoundKernel
 
         class Doubler(Kernel):
-            def __call__(self, x):
-                return x * 2.0
+            def bind(self, x):
+                out = np.empty_like(x)
+                return BoundKernel(lambda: np.multiply(x, 2.0, out=out), out)
 
         plan = InferencePlan([Doubler()])
-        assert plan.specialize(2)  # optimistic until the first bind attempt
         x = np.random.default_rng(6).standard_normal((2, 4)).astype(np.float32)
-        out = plan(x)
-        np.testing.assert_array_equal(out, x * 2.0)
-        assert plan.generic_calls == 1
-        assert not plan.can_specialize
-        assert not plan.specialize(3)
+        np.testing.assert_array_equal(plan(x), x * 2.0)
+        assert plan.specialize(2)
+        np.testing.assert_array_equal(plan(x), x * 2.0)
+        assert (plan.generic_calls, plan.specialized_calls) == (1, 1)
+
+    def test_bad_input_leaves_specialisation_serving(self):
+        plan = compile_network(_small_lstm_net())
+        plan.specialize(4)
+        x = np.random.default_rng(13).standard_normal((4, 9, 6))
+        plan(x)
+        plan(x)
+        assert plan.specialized_calls == 2
+        with pytest.raises(ValueError, match="LSTMKernel expects"):
+            plan(np.zeros((4, 54)))
+        plan(x)
+        assert plan.specialized_calls == 3
+        assert plan.has_arena((4, 9, 6))
 
     def test_specialized_output_buffer_is_reused_across_calls(self):
         """The documented ownership contract: rows are valid until the next
@@ -345,28 +440,20 @@ class TestShapeSpecialization:
         out = plan(x)  # rebinds through the full kernel list
         np.testing.assert_allclose(out.sum(axis=1), np.ones(2), atol=1e-12)
 
-    def test_conv_pad_buffer_is_reused_across_calls(self):
-        conv = Conv2d(1, 2, kernel_size=3, padding=2, seed=0)
-        plan = compile_network(Sequential(conv))
-        kernel = plan.kernels[0]
-        x = np.random.default_rng(9).standard_normal((2, 1, 6, 7)).astype(np.float32)
-        first = plan(x).copy()
-        assert len(kernel._pad_buffers) == 1
-        buf = next(iter(kernel._pad_buffers.values()))
-        plan(x)
-        assert next(iter(kernel._pad_buffers.values())) is buf
-        np.testing.assert_array_equal(plan(x), first)
-
-    def test_conv_pad_buffer_cache_is_lru_capped(self):
-        from repro.nn.inference import Conv2dKernel
-
-        conv = Conv2d(1, 2, kernel_size=3, padding=1, seed=0)
-        plan = compile_network(Sequential(conv))
-        kernel = plan.kernels[0]
-        rng = np.random.default_rng(10)
-        for batch in range(1, Conv2dKernel.MAX_PAD_BUFFERS + 4):
-            plan(rng.standard_normal((batch, 1, 6, 7)).astype(np.float32))
-        assert len(kernel._pad_buffers) == Conv2dKernel.MAX_PAD_BUFFERS
+    @pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+    @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+    def test_bad_input_raises_a_typed_value_error(self, case, pinned):
+        build, good_shape, bad_shape, match = _BAD_INPUTS[case]
+        plan = build()
+        if pinned:
+            plan.specialize(bad_shape[0])
+        with pytest.raises(ValueError, match=match) as info:
+            plan(np.zeros(bad_shape))
+        assert type(info.value) is ValueError
+        # The refused geometry holds no arena; the plan keeps serving.
+        assert plan.specialization_stats()["arenas"] == 0
+        x = np.random.default_rng(14).standard_normal(good_shape)
+        assert np.array_equal(plan(x), build()(x))
 
 
 class TestBlockSparseSpecialization:
@@ -418,6 +505,57 @@ class TestBlockSparseSpecialization:
         assert plan.specialize(batch)
         plan(x)  # binds the arena
         assert np.array_equal(generic, plan(x))
+
+    # ``_block_plan`` prunes all of ``weight_ih``, so its output ignores the
+    # input; this plan prunes the two projections separately.
+    @staticmethod
+    def _live_block_plan():
+        from repro.nn.inference import SparsityConfig
+
+        net = Sequential(
+            LSTM(input_size=32, hidden_size=64, seed=7),
+            Dense(64, 8, seed=8),
+        )
+        block_prune_projections_separately(net.layers[0], 0.9)
+        plan = compile_network(
+            net, sparsity=SparsityConfig(mode="always", min_size=0)
+        )
+        plan.append(SoftmaxKernel())
+        w_ih, w_hh, _ = plan.kernels[0].layers[0]
+        assert w_ih.groups == 4 and w_hh.groups == 4
+        assert w_ih.nnz > 0
+        return net, plan
+
+    def test_live_block_plan_matches_autograd_and_its_input(self):
+        net, plan = self._live_block_plan()
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((5, 9, 32))
+        b = rng.standard_normal((5, 9, 32))
+        logits = _forward_autograd(net, a)
+        expected = np.exp(logits - logits.max(axis=1, keepdims=True))
+        expected /= expected.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(plan(a), expected, atol=1e-5)
+        assert np.abs(plan(a) - plan(b)).max() > 1e-3
+
+    def test_steady_state_live_block_flush_allocates_no_arrays(self):
+        _, plan = self._live_block_plan()
+        x = np.random.default_rng(16).standard_normal((32, 9, 32)).astype(
+            np.float32
+        )
+        assert plan.specialize(32)
+        bound = 128 * 1024
+        net_bytes, peak = _alloc_profile(lambda: plan(x))
+        assert peak < bound, f"specialised block peak {peak}B blows {bound}B"
+        assert net_bytes < 4096, f"specialised block call retains {net_bytes}B"
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_live_block_plan_round_trips_bit_exact(self, batch):
+        _, plan = self._live_block_plan()
+        x = np.random.default_rng(17 + batch).standard_normal((batch, 9, 32))
+        expected = plan(x).copy()
+        copy = InferencePlan.from_payload(plan.to_payload())
+        assert copy.specialize(batch)
+        assert np.array_equal(copy(x), expected)
 
 
 # ---------------------------------------------------------------------- #
@@ -581,7 +719,7 @@ class TestTransportRegistry:
             for _, cls in inspect.getmembers(inference, inspect.isclass)
             if issubclass(cls, Kernel)
             and cls.__module__ == inference.__name__
-            and cls.__call__ is not Kernel.__call__
+            and cls.bind is not Kernel.bind
         }
         assert {DenseKernel, LSTMKernel, SoftmaxKernel} <= concrete  # not vacuous
         assert concrete <= set(inference._TRANSPORTABLE.values())

@@ -20,6 +20,7 @@ from repro.nn.layers import Dense
 from repro.nn.lstm import LSTM
 from repro.nn.module import Sequential
 from repro.nn.sparse import BlockSparseWeight, ColumnSparseWeight
+from tests.helpers import block_prune_projections_separately
 
 
 def _forward_autograd(module, x):
@@ -438,6 +439,41 @@ class TestFusedGateLowering:
         assert isinstance(w_ih, BlockSparseWeight) and w_ih.groups == 4
         assert isinstance(w_hh, BlockSparseWeight) and w_hh.groups == 4
         x = np.random.default_rng(48).standard_normal((3, 7, 32))
+        assert np.array_equal(plan(x), rebuilt(x))
+
+    # The fixture above prunes all of ``weight_ih`` (its output ignores the
+    # input), so the checks below repeat on an LSTM whose two projections
+    # are pruned separately and both keep surviving tiles.
+    @staticmethod
+    def _live_plan(seed=49):
+        lstm = LSTM(input_size=32, hidden_size=64, seed=seed)
+        block_prune_projections_separately(lstm, 0.9)
+        plan = compile_network(Sequential(lstm), sparsity=TINY_ALWAYS)
+        w_ih, w_hh, _ = plan.kernels[0].layers[0]
+        assert isinstance(w_ih, BlockSparseWeight) and w_ih.groups == 4
+        assert isinstance(w_hh, BlockSparseWeight) and w_hh.groups == 4
+        assert w_ih.nnz > 0 and w_hh.nnz > 0
+        return lstm, plan
+
+    def test_live_fused_plan_depends_on_its_input(self):
+        _, plan = self._live_plan()
+        rng = np.random.default_rng(50)
+        a = plan(rng.standard_normal((4, 9, 32)))
+        b = plan(rng.standard_normal((4, 9, 32)))
+        assert np.abs(a - b).max() > 1e-2
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_live_fused_plan_matches_autograd(self, batch):
+        lstm, plan = self._live_plan()
+        x = np.random.default_rng(51 + batch).standard_normal((batch, 9, 32))
+        np.testing.assert_allclose(plan(x), _forward_autograd(lstm, x), atol=1e-5)
+
+    def test_live_fused_plan_round_trips_through_payloads(self):
+        _, plan = self._live_plan()
+        rebuilt = InferencePlan.from_payload(plan.to_payload())
+        w_ih, w_hh, _ = rebuilt.kernels[0].layers[0]
+        assert w_ih.groups == 4 and w_hh.groups == 4 and w_ih.nnz > 0
+        x = np.random.default_rng(52).standard_normal((3, 7, 32))
         assert np.array_equal(plan(x), rebuilt(x))
 
 
